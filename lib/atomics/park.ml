@@ -8,8 +8,8 @@
 
    The protocol is an eventcount:
 
-     parker: incr waiters  (full fence)
-             gen := prepare
+     parker: gen := read gen      (prepare, first half)
+             incr waiters         (prepare, second half; full fence)
              re-check the condition; if satisfied, cancel
              park ~gen            (sleeps only while gen unchanged)
 
@@ -17,13 +17,20 @@
              bump gen
              if waiters > 0 then wake
 
-   Sequential consistency of the waiter increment and the gen bump
-   gives the usual eventcount guarantee: either the parker sees the
-   published condition on its re-check, or the waker sees the waiter
-   registration and wakes, or the gen moved and the sleep is a no-op.
-   A lost wakeup would need the parker's re-check to miss the
-   condition AND the waker to read a zero waiter count AND the gen the
-   parker sleeps on to be current — mutually exclusive under SC.
+   The generation is read before the waiter registers. Under
+   sequential consistency either the waker's bump follows the parker's
+   gen read — then the gen the parker sleeps on is stale and the sleep
+   is a no-op — or it precedes it, and then the condition published
+   before the bump is visible to the parker's re-check. Whenever the
+   waker reads a zero waiter count the registration (and so the
+   parker's sleep) comes after the bump, which is one of those two
+   cases. So a wake that observes a registered waiter can never be
+   lost, even to a parker with no condition to re-check.
+
+   The opposite order (register, then read gen) is wrong: a wake that
+   lands between the two sees the registration, bumps the generation
+   and wakes nobody, and the parker then reads the new generation and
+   sleeps on it forever.
 
    Implementation: a futex on Linux (one 32-bit generation word in
    malloc'd memory, FUTEX_WAIT/WAKE_PRIVATE via stubs), falling back
@@ -66,14 +73,17 @@ let impl t = match t.state with Fut _ -> Futex | Cond _ -> Condvar
 let waiters t = Atomic.get t.waiters
 
 let prepare t =
+  let gen =
+    match t.state with
+    | Fut f -> futex_get f
+    | Cond c ->
+        Mutex.lock c.m;
+        let g = c.gen in
+        Mutex.unlock c.m;
+        g
+  in
   Atomic.incr t.waiters;
-  match t.state with
-  | Fut f -> futex_get f
-  | Cond c ->
-      Mutex.lock c.m;
-      let g = c.gen in
-      Mutex.unlock c.m;
-      g
+  gen
 
 let cancel t = Atomic.decr t.waiters
 

@@ -32,7 +32,8 @@ val waiters : t -> int
     under concurrency; exact at quiescence. *)
 
 val prepare : t -> int
-(** Register as a waiter and read the current generation. Must be
+(** Read the current generation, then register as a waiter (in that
+    order — see park.ml for why the reverse loses wakeups). Must be
     followed by a re-check of the awaited condition, then either
     {!cancel} or {!park}. *)
 

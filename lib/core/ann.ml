@@ -84,19 +84,24 @@ let rep t = t.rep
    claim can be acquired while the row has no live announcement, so at
    least one slot reads 0 within one pass (see the Lemma 9/10-style
    argument in DESIGN.md). *)
+let no_free_slot () =
+  failwith "Ann.choose_slot: no free slot — busy-count invariant broken"
+
+(* One top-level scan per store, so a deref allocates no closure. *)
+let rec choose_cells backend busy n i =
+  if i >= n then no_free_slot ()
+  else if B.read backend busy.(i) = 0 then i
+  else choose_cells backend busy n (i + 1)
+
+let rec choose_raw t w tid i =
+  if i >= t.n then no_free_slot ()
+  else if W.get w (busy_w t tid i) = 0 then i
+  else choose_raw t w tid (i + 1)
+
 let choose_slot t ~tid =
-  let busy_at i =
-    match t.store with
-    | Cells c -> B.read t.backend c.busy.(tid).(i)
-    | Raw r -> W.get r.w (busy_w t tid i)
-  in
-  let rec scan i =
-    if i >= t.n then
-      failwith "Ann.choose_slot: no free slot — busy-count invariant broken"
-    else if busy_at i = 0 then i
-    else scan (i + 1)
-  in
-  scan 0
+  match t.store with
+  | Cells c -> choose_cells t.backend c.busy.(tid) t.n 0
+  | Raw r -> choose_raw t r.w tid 0
 
 (* D2 *)
 let set_index t ~tid slot =

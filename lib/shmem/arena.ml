@@ -26,15 +26,18 @@
    - [Raw]: a single page-aligned out-of-heap {!Atomics.Words} block
      ([Native]+[Unboxed], the Native default). No box per cell, no GC
      traffic, stable addresses; C stubs compile each access to one
-     [__atomic] SEQ_CST instruction. The padding discipline carries
-     over physically: every root and every node's [mm_ref]/[mm_next]
-     sit on their own cache-line pair, with the node's link and data
-     words packed contiguously after the header.
+     [__atomic] SEQ_CST instruction. Every root gets a cache-line
+     pair of its own. A node is one block, exactly as in the paper:
+     [mm_ref], [mm_next], then the links and data, at their [Layout]
+     offsets; the block is rounded up to whole cache-line pairs, so
+     no two nodes share one (a node of up to 16 words takes one pair,
+     and touching any of its words touches no other node).
 
-   The two representations have different *physical* geometries, so
-   all addressing goes through the geometry fields below; [Value.addr]
-   values from one arena are meaningless in another (they always
-   were — each arena also claims its own global address window). *)
+   Both representations put every node word at its [Layout] offset
+   from the node's base; they differ only in the root and node
+   strides, so addressing goes through [root_stride]/[node_stride]
+   below. [Value.addr] values from one arena are meaningless in
+   another (each arena also claims its own global address window). *)
 
 module P = Atomics.Primitives
 module Backend = Atomics.Backend
@@ -49,12 +52,11 @@ type t = {
   capacity : int;
   num_roots : int;
   store : store;
-  (* Physical geometry: where things live inside the store. *)
+  (* Physical geometry: where things live inside the store. Inside a
+     node block every word sits at its [Layout] offset. *)
   root_stride : int; (* words per root slot *)
   nodes_base : int; (* physical address of node 1 *)
   node_stride : int; (* words per node block *)
-  next_off : int; (* mm_next's offset inside a node block *)
-  body_off : int; (* link 0's offset inside a node block *)
   size : int; (* total physical words *)
   base : int; (* global address of cell 0, see [next_base] *)
 }
@@ -81,17 +83,15 @@ let create ?(backend = Backend.Sim) ?rep ~layout ~capacity ~num_roots () =
   if backend = Backend.Sim && rep = Backend.Unboxed then
     invalid_arg "Arena.create: Sim is boxed-only";
   let node_size = Layout.node_size layout in
-  let root_stride, nodes_base, node_stride, next_off, body_off =
+  let root_stride, node_stride =
     match rep with
-    | Backend.Boxed ->
-        (1, num_roots, node_size, Layout.mm_next_offset, Layout.header_size)
+    | Backend.Boxed -> (1, node_size)
     | Backend.Unboxed ->
-        (* Padded physical layout: each root and each node's two header
-           words get a cache-line pair; the body is packed after. *)
-        let body = node_size - Layout.header_size in
-        (line, num_roots * line, round_up_line ((2 * line) + body), line,
-         2 * line)
+        (* Each root gets a cache-line pair; each node block is rounded
+           up to whole line pairs, so no two nodes share one. *)
+        (line, round_up_line node_size)
   in
+  let nodes_base = num_roots * root_stride in
   let size = nodes_base + (capacity * node_stride) in
   let store =
     match (backend, rep) with
@@ -130,8 +130,6 @@ let create ?(backend = Backend.Sim) ?rep ~layout ~capacity ~num_roots () =
     root_stride;
     nodes_base;
     node_stride;
-    next_off;
-    body_off;
     size;
     base;
   }
@@ -161,21 +159,19 @@ let node_base t h =
   t.nodes_base + ((h - 1) * t.node_stride)
 
 let mm_ref_addr t p = node_base t (Value.handle p)
-let mm_next_addr t p = node_base t (Value.handle p) + t.next_off
+let mm_next_addr t p = node_base t (Value.handle p) + Layout.mm_next_offset
 
 let link_addr t p i =
-  let logical = Layout.link_offset t.layout i in
-  node_base t (Value.handle p) + t.body_off + (logical - Layout.header_size)
+  node_base t (Value.handle p) + Layout.link_offset t.layout i
 
 let data_addr t p j =
-  let logical = Layout.data_offset t.layout j in
-  node_base t (Value.handle p) + t.body_off + (logical - Layout.header_size)
+  node_base t (Value.handle p) + Layout.data_offset t.layout j
 
 (* [owner_of addr] inverts the mapping: which node (if any) contains
    this cell, and at which *logical* offset (0 = [mm_ref], 1 =
    [mm_next], then links and data) — uniform across representations.
-   Padding words have no owner and are rejected. Used by invariant
-   checkers. *)
+   Padding words (unboxed root slots and node-block tails) have no
+   owner and are rejected. Used by invariant checkers. *)
 let owner_of t addr =
   if addr < 0 || addr >= t.size then invalid_arg "Arena.owner_of"
   else if addr < t.nodes_base then
@@ -185,12 +181,7 @@ let owner_of t addr =
     let off = addr - t.nodes_base in
     let h = 1 + (off / t.node_stride) in
     let w = off mod t.node_stride in
-    if w = 0 then `Node (h, Layout.mm_ref_offset)
-    else if w = t.next_off then `Node (h, Layout.mm_next_offset)
-    else if
-      w >= t.body_off
-      && w < t.body_off + Layout.node_size t.layout - Layout.header_size
-    then `Node (h, Layout.header_size + (w - t.body_off))
+    if w < Layout.node_size t.layout then `Node (h, w)
     else invalid_arg "Arena.owner_of: padding word"
   end
 
@@ -286,13 +277,14 @@ let read_clear_link t p i =
    read-and-clear every link word, depositing the non-null values in
    slot order into [out] (length >= num_links). Returns the deposit
    count, or -1 when not claimed. One stub crossing under [Raw] — the
-   node's links are physically contiguous from [body_off]. *)
+   node's links are physically contiguous from link 0. *)
 let release_collect t p ~out =
   let nl = Layout.num_links t.layout in
   match t.store with
   | Raw w ->
       let nb = node_base t (Value.handle p) in
-      Words.release_collect w ~ref_addr:nb ~links:(nb + t.body_off) ~nl ~out
+      Words.release_collect w ~ref_addr:nb
+        ~links:(nb + Layout.header_size) ~nl ~out
   | Cells _ ->
       if release_mm_ref t p then begin
         let count = ref 0 in

@@ -29,10 +29,11 @@ val create :
     [Boxed] is the dense [int Atomic.t] array (under [Native], roots
     and each node's [mm_ref]/[mm_next] padded to a cache-line pair and
     node blocks allocated in one batch); [Unboxed] ([Native] only) is
-    a single page-aligned out-of-heap {!Atomics.Words} block with the
-    same padding discipline laid out physically. The two reps have
-    different physical geometries — always address through the
-    functions below. *)
+    a single page-aligned out-of-heap {!Atomics.Words} block where
+    each root gets a cache-line pair and each node block is rounded
+    up to whole cache-line pairs. In both reps a node's words sit at
+    their {!Layout} offsets from its base; only the root and node
+    strides differ — always address through the functions below. *)
 
 val backend : t -> Atomics.Backend.t
 val rep : t -> Atomics.Backend.rep

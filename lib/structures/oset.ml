@@ -106,18 +106,28 @@ let rec find t ~tid k =
   | res -> res
   | exception Restart -> find t ~tid k
 
-let mem t ~tid k =
-  Mm.enter_op t.mm ~tid;
-  Fun.protect ~finally:(fun () -> Mm.exit_op t.mm ~tid) @@ fun () ->
+(* The operation brackets below are spelled out as a [match] rather
+   than [Fun.protect], which allocates closures on every call. *)
+let leave t ~tid e bt =
+  Mm.exit_op t.mm ~tid;
+  Printexc.raise_with_backtrace e bt
+
+let mem_body t ~tid k =
   let pred, cur = find t ~tid k in
   let found = cur <> t.tail && key t cur = k in
   release t ~tid cur;
   release t ~tid pred;
   found
 
-let lookup t ~tid k =
+let mem t ~tid k =
   Mm.enter_op t.mm ~tid;
-  Fun.protect ~finally:(fun () -> Mm.exit_op t.mm ~tid) @@ fun () ->
+  match mem_body t ~tid k with
+  | r ->
+      Mm.exit_op t.mm ~tid;
+      r
+  | exception e -> leave t ~tid e (Printexc.get_raw_backtrace ())
+
+let lookup_body t ~tid k =
   let pred, cur = find t ~tid k in
   let res =
     if cur <> t.tail && key t cur = k then
@@ -128,96 +138,114 @@ let lookup t ~tid k =
   release t ~tid pred;
   res
 
-(* Insert [k -> v]; returns false if [k] is already present. *)
+let lookup t ~tid k =
+  Mm.enter_op t.mm ~tid;
+  match lookup_body t ~tid k with
+  | r ->
+      Mm.exit_op t.mm ~tid;
+      r
+  | exception e -> leave t ~tid e (Printexc.get_raw_backtrace ())
+
+(* Insert [k -> v]; returns false if [k] is already present. [n] is
+   the speculatively allocated node of an earlier attempt, or null. *)
+let rec insert_body t ~tid k v n =
+  let pred, cur = find t ~tid k in
+  if cur <> t.tail && key t cur = k then begin
+    release t ~tid cur;
+    release t ~tid pred;
+    (* undo the speculative allocation, if any *)
+    if not (Value.is_null n) then begin
+      Mm.store_link t.mm ~tid (next_addr t n) Value.null;
+      Mm.release t.mm ~tid n;
+      Mm.terminate t.mm ~tid n
+    end;
+    false
+  end
+  else begin
+    let n =
+      if Value.is_null n then begin
+        let arena = Mm.arena t.mm in
+        let n = Mm.alloc t.mm ~tid in
+        Arena.write_data arena n 0 k;
+        Arena.write_data arena n 1 v;
+        n
+      end
+      else n
+    in
+    Mm.store_link t.mm ~tid (next_addr t n) cur;
+    let ok = Mm.cas_link t.mm ~tid (next_addr t pred) ~old:cur ~nw:n in
+    release t ~tid cur;
+    release t ~tid pred;
+    if ok then begin
+      Mm.release t.mm ~tid n;
+      true
+    end
+    else insert_body t ~tid k v n
+  end
+
 let insert t ~tid k v =
   if k = max_int || k = min_int then invalid_arg "Oset.insert: key reserved";
   Mm.enter_op t.mm ~tid;
-  Fun.protect ~finally:(fun () -> Mm.exit_op t.mm ~tid) @@ fun () ->
-  let arena = Mm.arena t.mm in
-  let n = ref Value.null in
-  let rec attempt () =
-    let pred, cur = find t ~tid k in
-    if cur <> t.tail && key t cur = k then begin
-      release t ~tid cur;
-      release t ~tid pred;
-      (* undo the speculative allocation, if any *)
-      if not (Value.is_null !n) then begin
-        Mm.store_link t.mm ~tid (next_addr t !n) Value.null;
-        Mm.release t.mm ~tid !n;
-        Mm.terminate t.mm ~tid !n
-      end;
-      false
-    end
-    else begin
-      if Value.is_null !n then begin
-        n := Mm.alloc t.mm ~tid;
-        Arena.write_data arena !n 0 k;
-        Arena.write_data arena !n 1 v
-      end;
-      Mm.store_link t.mm ~tid (next_addr t !n) cur;
-      let ok = Mm.cas_link t.mm ~tid (next_addr t pred) ~old:cur ~nw:!n in
-      release t ~tid cur;
-      release t ~tid pred;
-      if ok then begin
-        Mm.release t.mm ~tid !n;
-        true
-      end
-      else attempt ()
-    end
-  in
-  attempt ()
+  match insert_body t ~tid k v Value.null with
+  | r ->
+      Mm.exit_op t.mm ~tid;
+      r
+  | exception e -> leave t ~tid e (Printexc.get_raw_backtrace ())
 
 (* Remove [k]; returns false if absent. *)
-let remove t ~tid k =
-  Mm.enter_op t.mm ~tid;
-  Fun.protect ~finally:(fun () -> Mm.exit_op t.mm ~tid) @@ fun () ->
-  let rec attempt () =
-    let pred, cur = find t ~tid k in
-    if cur = t.tail || key t cur <> k then begin
+let rec remove_body t ~tid k =
+  let pred, cur = find t ~tid k in
+  if cur = t.tail || key t cur <> k then begin
+    release t ~tid cur;
+    release t ~tid pred;
+    false
+  end
+  else begin
+    let w = Mm.deref t.mm ~tid (next_addr t cur) in
+    if Value.is_marked w then begin
+      (* someone else is deleting it; let find clean up *)
+      release t ~tid w;
       release t ~tid cur;
       release t ~tid pred;
-      false
+      remove_body t ~tid k
     end
-    else begin
-      let w = Mm.deref t.mm ~tid (next_addr t cur) in
-      if Value.is_marked w then begin
-        (* someone else is deleting it; let find clean up *)
+    else if
+      (* logical deletion: mark cur.next *)
+      Mm.cas_link t.mm ~tid (next_addr t cur) ~old:w ~nw:(Value.mark w)
+    then begin
+      (* physical unlink: here, or by a later traversal *)
+      if Mm.cas_link t.mm ~tid (next_addr t pred) ~old:cur ~nw:w then begin
         release t ~tid w;
         release t ~tid cur;
         release t ~tid pred;
-        attempt ()
-      end
-      else if
-        (* logical deletion: mark cur.next *)
-        Mm.cas_link t.mm ~tid (next_addr t cur) ~old:w ~nw:(Value.mark w)
-      then begin
-        (* physical unlink: here, or by a later traversal *)
-        if Mm.cas_link t.mm ~tid (next_addr t pred) ~old:cur ~nw:w then begin
-          release t ~tid w;
-          release t ~tid cur;
-          release t ~tid pred;
-          Mm.terminate t.mm ~tid cur
-        end
-        else begin
-          release t ~tid w;
-          release t ~tid cur;
-          release t ~tid pred;
-          (* a find pass adopts the unlink (and the terminate) *)
-          let p', c' = find t ~tid k in
-          release t ~tid c';
-          release t ~tid p'
-        end;
-        true
+        Mm.terminate t.mm ~tid cur
       end
       else begin
         release t ~tid w;
         release t ~tid cur;
         release t ~tid pred;
-        attempt ()
-      end
+        (* a find pass adopts the unlink (and the terminate) *)
+        let p', c' = find t ~tid k in
+        release t ~tid c';
+        release t ~tid p'
+      end;
+      true
     end
-  in
-  attempt ()
+    else begin
+      release t ~tid w;
+      release t ~tid cur;
+      release t ~tid pred;
+      remove_body t ~tid k
+    end
+  end
+
+let remove t ~tid k =
+  Mm.enter_op t.mm ~tid;
+  match remove_body t ~tid k with
+  | r ->
+      Mm.exit_op t.mm ~tid;
+      r
+  | exception e -> leave t ~tid e (Printexc.get_raw_backtrace ())
 
 (* Quiescent ascending key list (sequential contexts only). *)
 let to_list t ~tid =

@@ -34,82 +34,94 @@ let create mm ~head_root ~tail_root ~tid =
 
 let next_addr t p = Shmem.Arena.link_addr (Mm.arena t.mm) p 0
 
-let enqueue t ~tid v =
-  Mm.enter_op t.mm ~tid;
-  Fun.protect ~finally:(fun () -> Mm.exit_op t.mm ~tid) @@ fun () ->
+(* The operation brackets below are spelled out as a [match] rather
+   than [Fun.protect], which allocates closures on every call. *)
+let leave t ~tid e bt =
+  Mm.exit_op t.mm ~tid;
+  Printexc.raise_with_backtrace e bt
+
+let rec link_last t ~tid n =
+  let last = Mm.deref t.mm ~tid t.tail in
+  let nextw = Mm.deref t.mm ~tid (next_addr t last) in
+  if not (Value.is_null nextw) then begin
+    (* Tail is lagging: help advance it, then retry. *)
+    ignore (Mm.cas_link t.mm ~tid t.tail ~old:last ~nw:(Value.unmark nextw));
+    Mm.release t.mm ~tid nextw;
+    Mm.release t.mm ~tid last;
+    link_last t ~tid n
+  end
+  else if Mm.cas_link t.mm ~tid (next_addr t last) ~old:Value.null ~nw:n
+  then begin
+    (* Linked; swing the tail (best effort). *)
+    ignore (Mm.cas_link t.mm ~tid t.tail ~old:last ~nw:n);
+    Mm.release t.mm ~tid last
+  end
+  else begin
+    Mm.release t.mm ~tid last;
+    link_last t ~tid n
+  end
+
+let enqueue_body t ~tid v =
   let arena = Mm.arena t.mm in
   let n = Mm.alloc t.mm ~tid in
   Shmem.Arena.write_data arena n 0 v;
   Mm.store_link t.mm ~tid (next_addr t n) Value.null;
-  let rec attempt () =
-    let last = Mm.deref t.mm ~tid t.tail in
-    let nextw = Mm.deref t.mm ~tid (next_addr t last) in
-    if not (Value.is_null nextw) then begin
-      (* Tail is lagging: help advance it, then retry. *)
-      ignore (Mm.cas_link t.mm ~tid t.tail ~old:last ~nw:(Value.unmark nextw));
-      Mm.release t.mm ~tid nextw;
-      Mm.release t.mm ~tid last;
-      attempt ()
-    end
-    else if Mm.cas_link t.mm ~tid (next_addr t last) ~old:Value.null ~nw:n
-    then begin
-      (* Linked; swing the tail (best effort). *)
-      ignore (Mm.cas_link t.mm ~tid t.tail ~old:last ~nw:n);
-      Mm.release t.mm ~tid last
+  link_last t ~tid n;
+  Mm.release t.mm ~tid n
+
+let enqueue t ~tid v =
+  Mm.enter_op t.mm ~tid;
+  match enqueue_body t ~tid v with
+  | () -> Mm.exit_op t.mm ~tid
+  | exception e -> leave t ~tid e (Printexc.get_raw_backtrace ())
+
+(* Drop the three references one dequeue attempt holds. *)
+let release_all t ~tid ~first ~last nextw =
+  if not (Value.is_null nextw) then Mm.release t.mm ~tid nextw;
+  Mm.release t.mm ~tid last;
+  Mm.release t.mm ~tid first
+
+let rec dequeue_body t ~tid =
+  let first = Mm.deref t.mm ~tid t.head in
+  let last = Mm.deref t.mm ~tid t.tail in
+  let nextw = Mm.deref t.mm ~tid (next_addr t first) in
+  if first = last then
+    if Value.is_null nextw then begin
+      release_all t ~tid ~first ~last nextw;
+      None
     end
     else begin
-      Mm.release t.mm ~tid last;
-      attempt ()
+      (* Tail lagging behind a pending enqueue: help, retry. *)
+      ignore (Mm.cas_link t.mm ~tid t.tail ~old:last ~nw:(Value.unmark nextw));
+      release_all t ~tid ~first ~last nextw;
+      dequeue_body t ~tid
     end
-  in
-  attempt ();
-  Mm.release t.mm ~tid n
+  else if Value.is_null nextw then begin
+    (* Transient: head moved under us; retry. *)
+    release_all t ~tid ~first ~last nextw;
+    dequeue_body t ~tid
+  end
+  else begin
+    let v = Shmem.Arena.read_data (Mm.arena t.mm) (Value.unmark nextw) 0 in
+    if Mm.cas_link t.mm ~tid t.head ~old:first ~nw:(Value.unmark nextw)
+    then begin
+      release_all t ~tid ~first ~last nextw;
+      Mm.terminate t.mm ~tid first;
+      Some v
+    end
+    else begin
+      release_all t ~tid ~first ~last nextw;
+      dequeue_body t ~tid
+    end
+  end
 
 let dequeue t ~tid =
   Mm.enter_op t.mm ~tid;
-  Fun.protect ~finally:(fun () -> Mm.exit_op t.mm ~tid) @@ fun () ->
-  let arena = Mm.arena t.mm in
-  let rec attempt () =
-    let first = Mm.deref t.mm ~tid t.head in
-    let last = Mm.deref t.mm ~tid t.tail in
-    let nextw = Mm.deref t.mm ~tid (next_addr t first) in
-    let release_all () =
-      if not (Value.is_null nextw) then Mm.release t.mm ~tid nextw;
-      Mm.release t.mm ~tid last;
-      Mm.release t.mm ~tid first
-    in
-    if first = last then
-      if Value.is_null nextw then begin
-        release_all ();
-        None
-      end
-      else begin
-        (* Tail lagging behind a pending enqueue: help, retry. *)
-        ignore
-          (Mm.cas_link t.mm ~tid t.tail ~old:last ~nw:(Value.unmark nextw));
-        release_all ();
-        attempt ()
-      end
-    else if Value.is_null nextw then begin
-      (* Transient: head moved under us; retry. *)
-      release_all ();
-      attempt ()
-    end
-    else begin
-      let v = Shmem.Arena.read_data arena (Value.unmark nextw) 0 in
-      if Mm.cas_link t.mm ~tid t.head ~old:first ~nw:(Value.unmark nextw)
-      then begin
-        release_all ();
-        Mm.terminate t.mm ~tid first;
-        Some v
-      end
-      else begin
-        release_all ();
-        attempt ()
-      end
-    end
-  in
-  attempt ()
+  match dequeue_body t ~tid with
+  | r ->
+      Mm.exit_op t.mm ~tid;
+      r
+  | exception e -> leave t ~tid e (Printexc.get_raw_backtrace ())
 
 let is_empty t ~tid =
   Mm.enter_op t.mm ~tid;

@@ -197,6 +197,41 @@ let park_tests =
         done;
         Domain.join d;
         check_bool "parker resumed" true (Atomic.get woken));
+    (* Lost-wakeup regression: one wake that saw the parker registered
+       must end its untimed park, with no condition to re-check. A
+       parker still asleep after the deadline is rescued by more wakes
+       so the test fails instead of hanging. *)
+    tc "untimed park/wake handshake never loses a wake (200 rounds)"
+      (fun () ->
+        let deadline_s = 5.0 in
+        for round = 1 to 200 do
+          let p = Park.create () in
+          let woken = Atomic.make false in
+          let d =
+            Domain.spawn (fun () ->
+                let gen = Park.prepare p in
+                Park.park p ~gen ~timeout_ns:(-1);
+                Atomic.set woken true)
+          in
+          while Park.waiters p = 0 do
+            Domain.cpu_relax ()
+          done;
+          (* [false] only if a spurious return already deregistered it *)
+          ignore (Park.wake p);
+          let t0 = Unix.gettimeofday () in
+          while
+            (not (Atomic.get woken)) && Unix.gettimeofday () -. t0 < deadline_s
+          do
+            Domain.cpu_relax ()
+          done;
+          let lost = not (Atomic.get woken) in
+          while not (Atomic.get woken) do
+            ignore (Park.wake p);
+            Unix.sleepf 0.001
+          done;
+          Domain.join d;
+          if lost then Alcotest.failf "round %d: wake lost" round
+        done);
   ]
 
 (* Timed-park liveness: the OOM degradation path (Freestore.wait_free,

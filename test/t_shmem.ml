@@ -129,9 +129,10 @@ let arena_tests =
   ]
 
 (* Representation-parametrized addressing: the same logical geometry
-   must hold on the dense boxed store and the padded unboxed store —
-   owner_of is the uniform inverse, and physical padding words (which
-   only the unboxed rep has between fields) have no owner. *)
+   must hold on the dense boxed store and the line-aligned unboxed
+   store — owner_of is the uniform inverse, and physical padding words
+   (which only the unboxed rep has, after each root and after each
+   node's last word) have no owner. *)
 module B = Atomics.Backend
 
 let mk_native_arena rep =
@@ -203,9 +204,48 @@ let rep_arena_tests =
           (* between root 0 and root 1: roots are line-strided *)
           fails_with ~substring:"padding" (fun () ->
               Arena.owner_of a (Arena.root_addr a 0 + 1));
-          (* between mm_ref and mm_next inside a node block *)
+          (* after a node's last body word, up to the next line pair *)
           fails_with ~substring:"padding" (fun () ->
-              Arena.owner_of a (Arena.mm_ref_addr a (Value.of_handle 1) + 1)));
+              Arena.owner_of a (Arena.data_addr a (Value.of_handle 1) 1 + 1));
+          (* the header is packed: mm_next follows mm_ref directly *)
+          let next = Arena.mm_ref_addr a (Value.of_handle 1) + 1 in
+          match Arena.owner_of a next with
+          | `Node (h, off) ->
+              check_int "handle" 1 h;
+              check_int "offset" Layout.mm_next_offset off
+          | `Root _ -> Alcotest.fail "mm_ref + 1 mapped to a root");
+      tc "unboxed node stride is one line pair up to 16 words" (fun () ->
+          for node_size = Layout.header_size to B.cache_line_words do
+            let num_links = (node_size - Layout.header_size) / 2 in
+            let num_data = node_size - Layout.header_size - num_links in
+            let layout = Layout.create ~num_links ~num_data in
+            let a =
+              Arena.create ~backend:B.Native ~rep:B.Unboxed ~layout ~capacity:4
+                ~num_roots:1 ()
+            in
+            check_int
+              (Printf.sprintf "stride of a %d-word node" node_size)
+              B.cache_line_words (Arena.node_geom a).(1)
+          done);
+      tc "unboxed node blocks are line-pair aligned" (fun () ->
+          let line = B.cache_line_words in
+          List.iter
+            (fun (num_links, num_data, num_roots) ->
+              let layout = Layout.create ~num_links ~num_data in
+              let a =
+                Arena.create ~backend:B.Native ~rep:B.Unboxed ~layout
+                  ~capacity:5 ~num_roots ()
+              in
+              let g = Arena.node_geom a in
+              let what =
+                Printf.sprintf "%d+%d words, %d roots" num_links num_data
+                  num_roots
+              in
+              check_int ("nodes_base mod line, " ^ what) 0 (g.(0) mod line);
+              check_int ("node_stride mod line, " ^ what) 0 (g.(1) mod line))
+            [
+              (0, 0, 0); (1, 1, 1); (2, 2, 3); (7, 7, 2); (8, 8, 5); (20, 3, 4);
+            ]);
       tc "boxed native store is dense (no padding words)" (fun () ->
           let a = mk_native_arena B.Boxed in
           (* every address below num_cells has an owner *)

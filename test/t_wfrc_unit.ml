@@ -134,6 +134,27 @@ let deref_tests =
           ignore (Gc.deref gc ~tid:0 root)
         done;
         Ann.validate (Gc.announcements gc));
+    tc "native unboxed deref allocates no minor words" (fun () ->
+        let gc =
+          Gc.create
+            (Mm_intf.config ~backend:Atomics.Backend.Native
+               ~rep:Atomics.Backend.Unboxed ~threads:2 ~capacity:16
+               ~num_links:2 ~num_data:1 ~num_roots:2 ())
+        in
+        let arena = Gc.arena gc in
+        let root = Arena.root_addr arena 0 in
+        let a = Gc.alloc gc ~tid:0 in
+        Arena.write arena root (Gc.fix_ref gc a 2);
+        let derefs () =
+          for _ = 1 to 1_000 do
+            ignore (Gc.deref gc ~tid:0 root)
+          done
+        in
+        derefs ();
+        let w0 = Stdlib.Gc.minor_words () in
+        derefs ();
+        let w1 = Stdlib.Gc.minor_words () in
+        check_int "minor words over 1000 derefs" 0 (int_of_float (w1 -. w0)));
     tc "help_deref with no announcements is a no-op" (fun () ->
         let gc = mk () in
         let root = Arena.root_addr (Gc.arena gc) 0 in

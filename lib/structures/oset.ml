@@ -12,6 +12,12 @@
    - a node is retired precisely once, by the thread whose CAS
      physically unlinked it — at which point it is unreachable.
 
+   Like Michael's [cur := next], the traversal costs one DeRefLink per
+   step: it enters from the borrowed (uncounted) head sentinel, carries
+   each dereferenced successor forward as the next [cur], and reads the
+   held [cur]'s next word in place, dereferencing only to advance or to
+   unlink (DESIGN.md §6.5). A lookup of the i-th key takes i derefs.
+
    That the same client code runs on reference counting, hazard
    pointers and epochs is the §3.2 compatibility story; that the
    skiplist cannot is the §1 applicability story. Together with
@@ -57,13 +63,73 @@ let head t = t.head
 
 let key t p = Arena.read_data (Mm.arena t.mm) (Value.unmark p) 0
 let next_addr t p = Arena.link_addr (Mm.arena t.mm) (Value.unmark p) 0
-let release t ~tid p = if not (Value.is_null p) then Mm.release t.mm ~tid p
 
-(* Find the position for [k]: returns [(pred, cur, found)] with
-   references held on both nodes; [cur] is the first node with
-   key >= k. Unlinks (and terminates) marked nodes en route; raises
-   [Restart] when the footing is lost. *)
-let rec find_from t ~tid k pred =
+(* A held node's next word, read in place instead of dereferenced:
+   the caller's reference keeps the node from being reclaimed or
+   reused (DESIGN.md §6.5). *)
+let read_next t p = Arena.read (Mm.arena t.mm) (next_addr t p)
+
+(* The head sentinel is only ever borrowed (see [find]), so it is the
+   one node [release] must skip. *)
+let release t ~tid p =
+  if not (Value.is_null p || p = t.head) then Mm.release t.mm ~tid p
+
+(* Find the position for [k]: returns [(pred, cur)], [cur] the first
+   node with key >= k, with a reference held on [cur] and on [pred]
+   (borrowed when [pred] is the head, and [release] knows it).
+   Unlinks (and terminates) marked nodes en route; raises [Restart]
+   when the footing is lost.
+
+   Hand-over-hand, one DeRefLink per step (DESIGN.md §6.5):
+   - the head is entered uncounted: it is immortal on every scheme;
+   - the reference [deref cur.next] returns is carried forward as the
+     next [cur], never taken a second time through [pred.next];
+   - the held [cur]'s next word is read in place, so the step that
+     stops takes no reference on its successor.
+   Safety of the in-place read: we hold [cur], so it is neither
+   reclaimed nor reused, and R3 clears links only at a zero count, so
+   never under a holder; a mark never clears once set. An unmarked
+   read at or past [k] is therefore a valid linearization point, and a
+   marked read means the deref that follows sees the mark too. *)
+let rec find_from t ~tid k pred cur =
+  let w = read_next t cur in
+  if Value.is_marked w then
+    (* cur is logically deleted: take its frozen successor to unlink *)
+    unlink t ~tid k pred cur (Mm.deref t.mm ~tid (next_addr t cur))
+  else if cur = t.tail || key t cur >= k then (pred, cur)
+  else begin
+    (* cur is never the tail here, so its next is never null *)
+    let w = Mm.deref t.mm ~tid (next_addr t cur) in
+    if Value.is_marked w then unlink t ~tid k pred cur w
+    else begin
+      (* An unmarked [w] means [cur] was live and pointed at [w], so
+         [w] was reachable: the reference (a validated hazard under
+         HP) is safe to carry forward. *)
+      release t ~tid pred;
+      find_from t ~tid k cur w
+    end
+  end
+
+(* [cur] is marked and [w] is its (held, marked) successor: unlink
+   [cur] from [pred], or restart. *)
+and unlink t ~tid k pred cur w =
+  let ok =
+    Mm.cas_link t.mm ~tid (next_addr t pred) ~old:cur ~nw:(Value.unmark w)
+  in
+  release t ~tid w;
+  release t ~tid cur;
+  if ok then begin
+    (* we unlinked it: we own the retirement *)
+    Mm.terminate t.mm ~tid cur;
+    step t ~tid k pred
+  end
+  else begin
+    release t ~tid pred;
+    raise Restart
+  end
+
+(* Take a reference on [pred]'s successor and go on from there. *)
+and step t ~tid k pred =
   let cur = Mm.deref t.mm ~tid (next_addr t pred) in
   if Value.is_marked cur then begin
     (* pred itself is deleted *)
@@ -71,38 +137,12 @@ let rec find_from t ~tid k pred =
     release t ~tid pred;
     raise Restart
   end
-  else begin
+  else
     (* cur is never null: the tail sentinel bounds the list *)
-    let w = Mm.deref t.mm ~tid (next_addr t cur) in
-    if Value.is_marked w then begin
-      (* cur is logically deleted: unlink it here, or restart *)
-      let succ = Value.unmark w in
-      if Mm.cas_link t.mm ~tid (next_addr t pred) ~old:cur ~nw:succ then begin
-        (* we unlinked it: we own the retirement *)
-        release t ~tid w;
-        release t ~tid cur;
-        Mm.terminate t.mm ~tid cur;
-        find_from t ~tid k pred
-      end
-      else begin
-        release t ~tid w;
-        release t ~tid cur;
-        release t ~tid pred;
-        raise Restart
-      end
-    end
-    else begin
-      release t ~tid w;
-      if cur = t.tail || key t cur >= k then (pred, cur)
-      else begin
-        release t ~tid pred;
-        find_from t ~tid k cur
-      end
-    end
-  end
+    find_from t ~tid k pred cur
 
 let rec find t ~tid k =
-  match find_from t ~tid k (Mm.copy_ref t.mm ~tid t.head) with
+  match step t ~tid k t.head with
   | res -> res
   | exception Restart -> find t ~tid k
 
@@ -262,10 +302,9 @@ let to_list t ~tid =
     end
     else begin
       (* a marked word means [p] is deleted, not [u]; include [u]
-         unless [u] itself is logically deleted *)
-      let un = Mm.deref t.mm ~tid (next_addr t u) in
-      let deleted = Value.is_marked un in
-      release t ~tid un;
+         unless [u] itself is logically deleted, which the held [u]'s
+         next word shows in place *)
+      let deleted = Value.is_marked (read_next t u) in
       let acc =
         if deleted then acc
         else (Arena.read_data arena u 0, Arena.read_data arena u 1) :: acc
@@ -276,7 +315,7 @@ let to_list t ~tid =
       go acc u
     end
   in
-  go [] (Mm.copy_ref t.mm ~tid t.head)
+  go [] t.head
 
 let size t ~tid = List.length (to_list t ~tid)
 

@@ -6,6 +6,12 @@
    the HP/EBR schemes, whose safety derives from [terminate] being
    called only on unlinked nodes.
 
+   A held node's next word is read in place rather than dereferenced
+   (DESIGN.md §6.5): an empty dequeue and an uncontended enqueue each
+   take one DeRefLink, a non-empty dequeue three. The successor is
+   dereferenced only when the operation needs a reference on it — to
+   swing head or to help a lagging tail.
+
    Node layout: link 0 = next, data 0 = value. *)
 
 module Mm = Mm_intf
@@ -34,17 +40,25 @@ let create mm ~head_root ~tail_root ~tid =
 
 let next_addr t p = Shmem.Arena.link_addr (Mm.arena t.mm) p 0
 
+(* A held node's next word, read in place instead of dereferenced:
+   the caller's reference keeps the node from being reclaimed or
+   reused (DESIGN.md §6.5). *)
+let read_next t p = Shmem.Arena.read (Mm.arena t.mm) (next_addr t p)
+
 (* The operation brackets below are spelled out as a [match] rather
    than [Fun.protect], which allocates closures on every call. *)
 let leave t ~tid e bt =
   Mm.exit_op t.mm ~tid;
   Printexc.raise_with_backtrace e bt
 
+(* One deref (the tail) when the tail is current: [last]'s next word
+   is read in place, and the successor is dereferenced only to help a
+   lagging tail, where [cas_link] needs a reference on its [nw]. *)
 let rec link_last t ~tid n =
   let last = Mm.deref t.mm ~tid t.tail in
-  let nextw = Mm.deref t.mm ~tid (next_addr t last) in
-  if not (Value.is_null nextw) then begin
+  if not (Value.is_null (read_next t last)) then begin
     (* Tail is lagging: help advance it, then retry. *)
+    let nextw = Mm.deref t.mm ~tid (next_addr t last) in
     ignore (Mm.cas_link t.mm ~tid t.tail ~old:last ~nw:(Value.unmark nextw));
     Mm.release t.mm ~tid nextw;
     Mm.release t.mm ~tid last;
@@ -75,43 +89,45 @@ let enqueue t ~tid v =
   | () -> Mm.exit_op t.mm ~tid
   | exception e -> leave t ~tid e (Printexc.get_raw_backtrace ())
 
-(* Drop the three references one dequeue attempt holds. *)
+(* Drop the three references one non-empty dequeue attempt holds. *)
 let release_all t ~tid ~first ~last nextw =
-  if not (Value.is_null nextw) then Mm.release t.mm ~tid nextw;
+  Mm.release t.mm ~tid nextw;
   Mm.release t.mm ~tid last;
   Mm.release t.mm ~tid first
 
+(* [first]'s next word is read in place while [first] is held. A
+   dequeued node always had a non-null next, and a held node's next
+   never reverts to null, so a null read means [first] is still the
+   head and the queue is empty at that read: [None] after one deref.
+   Only a non-empty queue dereferences the tail and the successor. *)
 let rec dequeue_body t ~tid =
   let first = Mm.deref t.mm ~tid t.head in
-  let last = Mm.deref t.mm ~tid t.tail in
-  let nextw = Mm.deref t.mm ~tid (next_addr t first) in
-  if first = last then
-    if Value.is_null nextw then begin
-      release_all t ~tid ~first ~last nextw;
-      None
-    end
-    else begin
-      (* Tail lagging behind a pending enqueue: help, retry. *)
-      ignore (Mm.cas_link t.mm ~tid t.tail ~old:last ~nw:(Value.unmark nextw));
-      release_all t ~tid ~first ~last nextw;
-      dequeue_body t ~tid
-    end
-  else if Value.is_null nextw then begin
-    (* Transient: head moved under us; retry. *)
-    release_all t ~tid ~first ~last nextw;
-    dequeue_body t ~tid
+  if Value.is_null (read_next t first) then begin
+    Mm.release t.mm ~tid first;
+    None
   end
   else begin
-    let v = Shmem.Arena.read_data (Mm.arena t.mm) (Value.unmark nextw) 0 in
-    if Mm.cas_link t.mm ~tid t.head ~old:first ~nw:(Value.unmark nextw)
-    then begin
-      release_all t ~tid ~first ~last nextw;
-      Mm.terminate t.mm ~tid first;
-      Some v
-    end
-    else begin
+    let last = Mm.deref t.mm ~tid t.tail in
+    (* non-null: it was non-null in place and cannot revert *)
+    let nextw = Mm.deref t.mm ~tid (next_addr t first) in
+    let next = Value.unmark nextw in
+    if first = last then begin
+      (* Tail lagging behind a pending enqueue: help, retry. *)
+      ignore (Mm.cas_link t.mm ~tid t.tail ~old:last ~nw:next);
       release_all t ~tid ~first ~last nextw;
       dequeue_body t ~tid
+    end
+    else begin
+      let v = Shmem.Arena.read_data (Mm.arena t.mm) next 0 in
+      if Mm.cas_link t.mm ~tid t.head ~old:first ~nw:next then begin
+        release_all t ~tid ~first ~last nextw;
+        Mm.terminate t.mm ~tid first;
+        Some v
+      end
+      else begin
+        release_all t ~tid ~first ~last nextw;
+        dequeue_body t ~tid
+      end
     end
   end
 
@@ -123,14 +139,21 @@ let dequeue t ~tid =
       r
   | exception e -> leave t ~tid e (Printexc.get_raw_backtrace ())
 
+(* One deref: the held head node's next word is read in place, as in
+   [dequeue_body]. *)
+let is_empty_body t ~tid =
+  let first = Mm.deref t.mm ~tid t.head in
+  let empty = Value.is_null (read_next t first) in
+  Mm.release t.mm ~tid first;
+  empty
+
 let is_empty t ~tid =
   Mm.enter_op t.mm ~tid;
-  Fun.protect ~finally:(fun () -> Mm.exit_op t.mm ~tid) @@ fun () ->
-  let first = Mm.deref t.mm ~tid t.head in
-  let nextw = Mm.deref t.mm ~tid (next_addr t first) in
-  if not (Value.is_null nextw) then Mm.release t.mm ~tid nextw;
-  Mm.release t.mm ~tid first;
-  Value.is_null nextw
+  match is_empty_body t ~tid with
+  | r ->
+      Mm.exit_op t.mm ~tid;
+      r
+  | exception e -> leave t ~tid e (Printexc.get_raw_backtrace ())
 
 let drain t ~tid =
   let rec go acc = match dequeue t ~tid with

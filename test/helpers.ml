@@ -36,14 +36,29 @@ let fails_with ?substring f =
             Alcotest.failf "expected exception mentioning %S, got %S" s msg)
 
 (* Standard configs *)
-let small_cfg ?(threads = 2) ?(capacity = 16) ?(num_links = 1) ?(num_data = 1)
-    ?(num_roots = 2) () =
-  Mm.config ~threads ~capacity ~num_links ~num_data ~num_roots ()
+let small_cfg ?backend ?(threads = 2) ?(capacity = 16) ?(num_links = 1)
+    ?(num_data = 1) ?(num_roots = 2) () =
+  Mm.config ?backend ~threads ~capacity ~num_links ~num_data ~num_roots ()
 
 let all_schemes = Harness.Registry.names
 let rc_schemes = Harness.Registry.rc_names
 
 let mm_of scheme cfg = Harness.Registry.instantiate scheme cfg
+
+(* Test-name label for a scheme; a Native-backend run is tagged so its
+   cases sit beside the default Sim ones under distinct names. *)
+let scheme_label ?backend scheme =
+  match backend with
+  | Some Atomics.Backend.Native -> scheme ^ " native"
+  | _ -> scheme
+
+(* The DeRefLinks [f] issues, read as a delta of [mm]'s [Deref]
+   counter. *)
+let derefs mm f =
+  let c = Mm.counters mm in
+  let before = Atomics.Counters.(total c Deref) in
+  f ();
+  Atomics.Counters.(total c Deref) - before
 
 (* Assert no leak: every node is back in the allocator's custody. *)
 let assert_all_free ?(reserved = 0) mm =

@@ -10,6 +10,8 @@ module C = Atomics.Counters
 module Hb = Analysis.Hb
 module Reclaim = Analysis.Reclaim
 module Layout = Shmem.Layout
+module Oset = Structures.Oset
+module Queue_ = Structures.Queue
 
 (* ---------------- Happens-before ---------------------------------- *)
 
@@ -378,10 +380,76 @@ let contend_factory scheme () =
       in
       (body, check) )
 
-let explore_with_oracle ?counters ~max_schedules factory =
+(* Program C — an ordered-set traversal racing a remove: keys
+   {10, 20, 30}; thread 0 removes 20 while thread 1 looks up 30, so the
+   hand-over-hand walk races the mark, its in-place read of a held
+   node's next word, and the unlink of a node it carries. The two
+   sentinels are immortal, hence reserved. *)
+let oset_factory scheme () =
+  let cfg = Mm.config ~threads:2 ~capacity:8 ~num_links:1 ~num_data:2 () in
+  let mm = mm_of scheme cfg in
+  ( Mm.arena mm,
+    fun () ->
+      let s = Oset.create mm ~tid:0 in
+      List.iter (fun k -> ignore (Oset.insert s ~tid:0 k k)) [ 10; 20; 30 ];
+      let body tid =
+        if tid = 0 then begin
+          if not (Oset.remove s ~tid 20) then
+            failwith "remove of 20 missed"
+        end
+        else if Oset.lookup s ~tid 30 <> Some 30 then
+          failwith "lookup of 30 missed"
+      in
+      let check () =
+        if List.map fst (Oset.to_list s ~tid:0) <> [ 10; 30 ] then
+          failwith "wrong final set";
+        ignore (Oset.clear s ~tid:0);
+        Mm.validate mm
+      in
+      (body, check) )
+
+(* Program D — a queue that starts empty: thread 0 enqueues while
+   thread 1 dequeues twice, so the empty-check's in-place read of the
+   held head node races the link of the first node. *)
+let queue_factory scheme () =
+  let cfg =
+    Mm.config ~threads:2 ~capacity:8 ~num_links:1 ~num_data:1 ~num_roots:2 ()
+  in
+  let mm = mm_of scheme cfg in
+  ( Mm.arena mm,
+    fun () ->
+      let q = Queue_.create mm ~head_root:0 ~tail_root:1 ~tid:0 in
+      let got = ref [] in
+      let body tid =
+        if tid = 0 then Queue_.enqueue q ~tid 7
+        else
+          for _ = 1 to 2 do
+            Option.iter (fun v -> got := v :: !got) (Queue_.dequeue q ~tid)
+          done
+      in
+      let check () =
+        if !got @ Queue_.drain q ~tid:0 <> [ 7 ] then
+          failwith "value not conserved";
+        ignore (Queue_.destroy q ~tid:0);
+        Mm.validate mm
+      in
+      (body, check) )
+
+let explore_with_oracle ?counters ?reserved ~max_schedules factory =
   Reclaim.with_oracle (fun () ->
       exhaustive_ok ~max_schedules ~threads:2
-        (Reclaim.instrument ?counters ~expect_all_free:true ~threads:2 factory))
+        (Reclaim.instrument ?counters ~expect_all_free:true ?reserved ~threads:2
+           factory))
+
+(* The capped DFS above varies only the tail of a schedule. A seeded
+   uniform sweep adds preemptions inside both threads' operations,
+   which is where an in-place read of a node the reader does not hold
+   would meet its reclamation. *)
+let explore_and_sweep_with_oracle ?reserved ~max_schedules ~runs factory =
+  ignore (explore_with_oracle ?reserved ~max_schedules factory);
+  Reclaim.with_oracle (fun () ->
+      sweep_ok ~runs ~threads:2
+        (Reclaim.instrument ~expect_all_free:true ?reserved ~threads:2 factory))
 
 let manager_tests =
   List.concat_map
@@ -397,6 +465,18 @@ let manager_tests =
           (fun () ->
             ignore
               (explore_with_oracle ~max_schedules:3_000 (contend_factory scheme)));
+        tc
+          (Printf.sprintf "%s: oset remove/lookup program clean under the oracle"
+             scheme)
+          (fun () ->
+            explore_and_sweep_with_oracle ~reserved:2 ~max_schedules:1_000
+              ~runs:300 (oset_factory scheme));
+        tc
+          (Printf.sprintf "%s: queue enqueue/dequeue program clean under the oracle"
+             scheme)
+          (fun () ->
+            explore_and_sweep_with_oracle ~max_schedules:1_000 ~runs:300
+              (queue_factory scheme));
       ])
     all_schemes
   @ [

@@ -5,9 +5,10 @@ open Helpers
 module Hmap = Structures.Hmap
 module Mm = Mm_intf
 
-let mk scheme ?(threads = 2) ?(capacity = 256) ?(buckets = 8) () =
+let mk scheme ?backend ?(threads = 2) ?(capacity = 256) ?(buckets = 8) () =
   let cfg =
-    Mm.config ~threads ~capacity ~num_links:1 ~num_data:2 ~num_roots:0 ()
+    Mm.config ?backend ~threads ~capacity ~num_links:1 ~num_data:2
+      ~num_roots:0 ()
   in
   let mm = mm_of scheme cfg in
   (mm, Hmap.create mm ~buckets ~tid:0)
@@ -96,8 +97,11 @@ let spread_test =
       check_int "all present" 200 total;
       ignore mm)
 
-let conc_tests scheme =
-  let pre name = Printf.sprintf "%s: %s" scheme name in
+(* [backend] defaults to Sim; a Native run uses the Native default
+   rep, Unboxed. *)
+let conc_tests ?backend scheme =
+  let pre name = Printf.sprintf "%s: %s" (scheme_label ?backend scheme) name in
+  let mk = mk ?backend in
   [
     tc (pre "parallel disjoint inserts all land") (fun () ->
         let threads = 4 in
@@ -139,6 +143,7 @@ let base_suite =
   List.concat_map seq_tests all_schemes
   @ [ spread_test ]
   @ List.concat_map conc_tests [ "wfrc"; "lfrc"; "hp"; "ebr" ]
+  @ conc_tests ~backend:Atomics.Backend.Native "wfrc"
 
 (* Deterministic-scheduler sweeps: cross-bucket operations share the
    allocator, so scheme-level races surface even when keys hash to

@@ -6,9 +6,10 @@ open Helpers
 module Oset = Structures.Oset
 module Mm = Mm_intf
 
-let mk scheme ?(threads = 2) ?(capacity = 64) () =
+let mk scheme ?backend ?(threads = 2) ?(capacity = 64) () =
   let cfg =
-    Mm.config ~threads ~capacity ~num_links:1 ~num_data:2 ~num_roots:0 ()
+    Mm.config ?backend ~threads ~capacity ~num_links:1 ~num_data:2
+      ~num_roots:0 ()
   in
   let mm = mm_of scheme cfg in
   (mm, Oset.create mm ~tid:0)
@@ -87,8 +88,11 @@ let seq_tests scheme =
            = List.sort compare (List.of_seq (Hashtbl.to_seq_keys model)));
   ]
 
-let conc_tests scheme =
-  let pre name = Printf.sprintf "%s: %s" scheme name in
+(* [backend] defaults to Sim; a Native run uses the Native default
+   rep, Unboxed. *)
+let conc_tests ?backend scheme =
+  let pre name = Printf.sprintf "%s: %s" (scheme_label ?backend scheme) name in
+  let mk = mk ?backend in
   [
     tc (pre "disjoint key ranges: all inserts land") (fun () ->
         let threads = 4 in
@@ -191,7 +195,32 @@ let sim_tests =
   in
   List.map sweep [ "wfrc"; "lfrc"; "hp"; "ebr" ]
 
+(* Deref-count pins for the traversal discipline (DESIGN.md §6.5): a
+   lookup of the i-th key takes i DeRefLinks, the stopping step none. *)
+let deref_tests =
+  List.map
+    (fun backend ->
+      tc
+        (Printf.sprintf "wfrc %s: one deref per traversal step"
+           (Atomics.Backend.name backend))
+        (fun () ->
+          let mm, s = mk "wfrc" ~backend ~capacity:16 () in
+          let derefs = derefs mm in
+          check_int "mem on an empty set" 1
+            (derefs (fun () -> ignore (Oset.mem s ~tid:0 5)));
+          List.iter (fun k -> ignore (Oset.insert s ~tid:0 k k)) [ 10; 20; 30; 40 ];
+          List.iteri
+            (fun i k ->
+              check_int (Printf.sprintf "lookup of key %d" k) (i + 1)
+                (derefs (fun () ->
+                     check_bool "found" true (Oset.lookup s ~tid:0 k = Some k))))
+            [ 10; 20; 30; 40 ];
+          check_int "key past the last" 5
+            (derefs (fun () -> ignore (Oset.lookup s ~tid:0 50)))))
+    [ Atomics.Backend.Sim; Atomics.Backend.Native ]
+
 let suite =
   List.concat_map seq_tests all_schemes
   @ List.concat_map conc_tests all_schemes
-  @ sim_tests
+  @ conc_tests ~backend:Atomics.Backend.Native "wfrc"
+  @ sim_tests @ deref_tests

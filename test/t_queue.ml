@@ -7,8 +7,8 @@ module Queue_ = Structures.Queue
 module Model = Structures.Seqmodels.Queue_model
 module Mm = Mm_intf
 
-let mk scheme ?(threads = 2) ?(capacity = 64) () =
-  let cfg = small_cfg ~threads ~capacity ~num_roots:2 () in
+let mk scheme ?backend ?(threads = 2) ?(capacity = 64) () =
+  let cfg = small_cfg ?backend ~threads ~capacity ~num_roots:2 () in
   let mm = mm_of scheme cfg in
   (mm, Queue_.create mm ~head_root:0 ~tail_root:1 ~tid:0)
 
@@ -66,8 +66,11 @@ let seq_tests scheme =
         ok && Queue_.drain q ~tid:0 = Model.to_list m);
   ]
 
-let conc_tests scheme =
-  let pre name = Printf.sprintf "%s: %s" scheme name in
+(* [backend] defaults to Sim; a Native run uses the Native default
+   rep, Unboxed. *)
+let conc_tests ?backend scheme =
+  let pre name = Printf.sprintf "%s: %s" (scheme_label ?backend scheme) name in
+  let mk = mk ?backend in
   [
     tc (pre "concurrent conservation") (fun () ->
         let threads = 4 in
@@ -174,7 +177,29 @@ let sim_tests =
             (body, check)));
   ]
 
+(* Deref-count pins for the in-place next reads (DESIGN.md §6.5). *)
+let deref_tests =
+  List.map
+    (fun backend ->
+      tc
+        (Printf.sprintf "wfrc %s: empty dequeue and enqueue take one deref"
+           (Atomics.Backend.name backend))
+        (fun () ->
+          let mm, q = mk "wfrc" ~backend ~capacity:8 () in
+          let derefs = derefs mm in
+          check_int "empty dequeue" 1
+            (derefs (fun () ->
+                 check_bool "empty" true (Queue_.dequeue q ~tid:0 = None)));
+          check_int "is_empty" 1
+            (derefs (fun () -> check_bool "empty" true (Queue_.is_empty q ~tid:0)));
+          check_int "enqueue" 1 (derefs (fun () -> Queue_.enqueue q ~tid:0 5));
+          check_int "non-empty dequeue" 3
+            (derefs (fun () ->
+                 check_bool "got 5" true (Queue_.dequeue q ~tid:0 = Some 5)))))
+    [ Atomics.Backend.Sim; Atomics.Backend.Native ]
+
 let suite =
   List.concat_map seq_tests all_schemes
   @ List.concat_map conc_tests [ "wfrc"; "lfrc"; "hp"; "ebr" ]
-  @ sim_tests
+  @ conc_tests ~backend:Atomics.Backend.Native "wfrc"
+  @ sim_tests @ deref_tests

@@ -8,9 +8,14 @@
    Slot protocol. The service owns [max_actors] slots; slot [s] claims
    arena root cells 2s (mailbox head) and 2s+1 (mailbox tail). An
    actor id encodes its slot and a generation: id = slot +
-   max_actors * gen, so a recycled slot never resurrects an old id
-   (the registry lookup for a dead id simply misses). Each slot
-   carries two service-level atomics:
+   max_actors * gen, so a recycled slot never resurrects an old id.
+   Ids are the route: [send] and [receive] go straight to
+   [slot_of id], and the slot's state word, which names the live id,
+   decides liveness. The registry is the directory — [spawn] and
+   [retire] keep it current for [probe], [teardown] and callers that
+   enumerate actors, but no message path reads it (a registry lookup
+   would cost a DeRefLink per chain node). Each slot carries two
+   service-level atomics:
 
      state    0 = free | id+1 = live | -(id+1) = closing
      inflight  number of threads inside the send/receive guard window
@@ -192,32 +197,36 @@ let spawn ?deadline t ~tid =
               bump t.c.spawned tid;
               Some id))
 
-(* The guard window: inflight up, check state, touch the queue,
-   inflight down. Deliberately NOT exception-protected — a chaos
-   crash inside the window must leave [inflight] raised, zombifying
-   the slot, so its nodes stay in the audited custody classes instead
-   of racing a concurrent destroy. *)
+(* The guard window on the id's own slot: inflight up, check that
+   state names [dst] (a recycled slot carries a newer generation, and
+   [retire] flips state before it waits out inflight), touch the
+   queue, inflight down. Deliberately NOT exception-protected — a
+   chaos crash inside the window must leave [inflight] raised,
+   zombifying the slot, so its nodes stay in the audited custody
+   classes instead of racing a concurrent destroy. *)
 let send t ~tid ~dst v =
-  match Hmap.lookup t.registry ~tid dst with
-  | None ->
-      bump t.c.send_drop tid;
-      false
-  | Some slot ->
-      Atomic.incr t.inflight.(slot);
-      let ok =
-        if Atomic.get t.state.(slot) = dst + 1 then
-          match t.mailbox.(slot) with
-          | Some q -> (
-              try
-                Q.enqueue q ~tid v;
-                true
-              with Mm.Out_of_memory | Mm.Out_of_nodes _ -> false)
-          | None -> false
-        else false
-      in
-      Atomic.decr t.inflight.(slot);
-      bump (if ok then t.c.sent else t.c.send_drop) tid;
-      ok
+  if dst < 0 then begin
+    bump t.c.send_drop tid;
+    false
+  end
+  else begin
+    let slot = slot_of t dst in
+    Atomic.incr t.inflight.(slot);
+    let ok =
+      if Atomic.get t.state.(slot) = dst + 1 then
+        match t.mailbox.(slot) with
+        | Some q -> (
+            try
+              Q.enqueue q ~tid v;
+              true
+            with Mm.Out_of_memory | Mm.Out_of_nodes _ -> false)
+        | None -> false
+      else false
+    in
+    Atomic.decr t.inflight.(slot);
+    bump (if ok then t.c.sent else t.c.send_drop) tid;
+    ok
+  end
 
 let receive t ~tid ~self =
   let slot = slot_of t self in

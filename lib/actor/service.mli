@@ -1,6 +1,8 @@
 (** Actor/mailbox runtime over the WFRC structures: each actor owns a
     {!Structures.Queue} as its MPSC mailbox, the registry is an
-    {!Structures.Hmap} keyed by actor id, and a {!Timer} wheel (RC
+    {!Structures.Hmap} directory keyed by actor id (kept by
+    [spawn]/[retire], read by {!probe} and {!teardown}; messages route
+    by the slot encoded in the id instead), and a {!Timer} wheel (RC
     schemes only) drives timeouts — all drawing nodes from one
     {!Mm_intf} manager, so spawn/send/receive/retire exercise the
     memory scheme as the service's real allocator.
@@ -68,9 +70,12 @@ val spawn : ?deadline:int -> t -> tid:int -> int option
     ignored otherwise. [None] when out of slots or nodes. *)
 
 val send : t -> tid:int -> dst:int -> int -> bool
-(** Registry lookup, then guarded enqueue. [false] — counted in
-    {!totals}.send_drop — when [dst] is dead or the allocator is
-    exhausted. *)
+(** Guarded enqueue into the mailbox of the slot encoded in [dst]; the
+    registry is not consulted, so a send to a live actor issues only
+    the enqueue's DeRefLinks. [false] — counted in {!totals}.send_drop,
+    never an exception — when [dst] is negative, dead (its slot is
+    free, closing or recycled under a newer generation) or the
+    allocator is exhausted. *)
 
 val receive : t -> tid:int -> self:int -> int option
 (** Guarded dequeue from [self]'s mailbox ([None] when empty or

@@ -774,6 +774,7 @@ let custody t =
       pending = !pending;
       pinned;
       deferred;
+      in_hand = [];
       violations = List.rev !violations;
     }
 

@@ -30,6 +30,7 @@ type per_thread = {
   mutable bag_sizes : int array;
   mutable last_seen : int;
   mutable ops : int;
+  hand : Mm_intf.Hand.t;  (* local: nodes in hand outside any record *)
 }
 
 type t = {
@@ -94,6 +95,7 @@ let create (cfg : Mm_intf.config) =
             bag_sizes = Array.make 3 0;
             last_seen = 0;
             ops = 0;
+            hand = Mm_intf.Hand.create ();
           });
     advance_every = 4;
     dead = Array.make cfg.threads false;
@@ -137,6 +139,7 @@ let collect t ~tid e =
   let slot = (e + 1) mod 3 in
   let victims = pt.bags.(slot) in
   if victims <> [] then begin
+    Mm_intf.Hand.reclaiming pt.hand victims;
     pt.bags.(slot) <- [];
     pt.bag_sizes.(slot) <- 0;
     List.iter
@@ -160,6 +163,7 @@ let try_advance t ~tid =
 
 let enter_op t ~tid =
   let pt = t.threads.(tid) in
+  Mm_intf.Hand.clear pt.hand;
   B.write t.backend pt.active 1;
   let e = B.read t.backend t.global in
   B.write t.backend pt.epoch e;
@@ -203,6 +207,7 @@ let alloc t ~tid =
       let rec claim ~adopted =
         match Freestore.alloc fs ~tid with
         | Some node ->
+            Mm_intf.Hand.hold t.threads.(tid).hand node;
             Mm_intf.Events.emit ~tid node Mm_intf.Events.Alloc;
             node
         | None ->
@@ -245,6 +250,8 @@ let alloc t ~tid =
             Value.pack_stamped ~stamp:(Value.stamped_stamp hv + 1) ~ptr:next
           in
           if B.cas t.backend t.head ~old:hv ~nw then begin
+            (* in hand until the caller links it *)
+            Mm_intf.Hand.hold t.threads.(tid).hand node;
             Mm_intf.Events.emit ~tid node Mm_intf.Events.Alloc;
             node
           end
@@ -269,9 +276,15 @@ let release t ~tid p =
 
 let copy_ref _t ~tid:_ p = p
 
+(* A successful CAS may unlink [old]; it stays in hand until the
+   caller's [terminate] bags it. *)
 let cas_link t ~tid link ~old ~nw =
   C.incr t.ctr ~tid Cas_attempt;
-  if Arena.cas t.arena link ~old ~nw then true
+  if Arena.cas t.arena link ~old ~nw then begin
+    let u = Value.unmark old in
+    if not (Value.is_null u) then Mm_intf.Hand.hold t.threads.(tid).hand u;
+    true
+  end
   else begin
     C.incr t.ctr ~tid Cas_failure;
     false
@@ -358,9 +371,11 @@ let custody t =
         end
       in
       walk (Value.stamped_ptr (B.read t.backend t.head)) 0);
-  let pending = ref [] in
+  let pending = ref [] and in_hand = ref [] in
   Array.iteri
     (fun tid pt ->
+      Mm_intf.Hand.iter pt.hand (fun p ->
+          in_hand := (tid, Value.handle p) :: !in_hand);
       Array.iter
         (List.iter (fun p ->
              let h = Value.handle p in
@@ -377,6 +392,7 @@ let custody t =
       pending = !pending;
       pinned = [];
       deferred = [];
+      in_hand = !in_hand;
       violations = List.rev !violations;
     }
 
@@ -410,7 +426,8 @@ let recover t ~tid =
             pt.bags.(slot);
           pt.bags.(slot) <- [];
           pt.bag_sizes.(slot) <- 0
-        done
+        done;
+        Mm_intf.Hand.clear pt.hand
       end
     done;
     for _ = 1 to 4 do

@@ -31,10 +31,11 @@
    Crash attribution works without any cooperation from the crashed
    thread, exactly as an external observer of the paper's
    stopped-process model: the seeds are the scheme's own custody
-   records (pinned/pending entries owned by a crashed tid) plus, for
-   refcounted schemes, unreachable nodes whose count exceeds its
-   link-inbound contribution — a reference surplus only a crashed
-   thread can still hold once the survivors have drained. Seeds are
+   records (pinned/pending entries owned by a crashed tid, and for
+   hp/ebr the nodes it held mid-operation outside those records)
+   plus, for refcounted schemes, unreachable nodes whose count
+   exceeds its link-inbound contribution — a reference surplus only a
+   crashed thread can still hold once the survivors have drained. Seeds are
    closed transitively over link slots, since a node held by a crashed
    thread keeps everything it links to alive too.
 
@@ -254,6 +255,15 @@ let run ?(crashed = []) ?loss_bound (inst : Mm.instance) =
     in
     List.iter (fun (tid, h) -> if is_crashed tid then seed h) pinned;
     List.iter (fun (tid, h) -> if is_crashed tid then seed h) pending;
+    (* A node a crashed hp/ebr thread held mid-operation outside every
+       other record (the scheme's in-hand record, a superset): seed it
+       unless a record already places it. Survivors' in-hand entries
+       never seed, so a survivor's real leak still reads [Leaked]. *)
+    List.iter
+      (fun (tid, h) ->
+        if is_crashed tid && h >= 1 && h <= cap && not (is_pending h) then
+          seed h)
+      c.Mm.in_hand;
     (* Decrements stranded in a crashed thread's rc buffer hold their
        nodes exactly like references it still owns. *)
     for h = 1 to cap do

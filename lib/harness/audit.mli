@@ -23,8 +23,9 @@ type report = {
           reclaimable by that thread later *)
   crash_held : int;
       (** stranded by a crashed thread: its custody entries, its
-          published pins, its surplus references, and everything those
-          nodes link to *)
+          published pins, the nodes it held mid-operation outside
+          those (hp/ebr [in_hand]), its surplus references, and
+          everything those nodes link to *)
   deferred : int;
       (** kept allocated only by decrements still parked in surviving
           threads' rc buffers (DESIGN.md §6.3), plus — closed over

@@ -34,6 +34,7 @@ type per_thread = {
   counts : int array;     (* local: references held per slot *)
   mutable retired : Value.ptr list;
   mutable retired_len : int;
+  hand : Mm_intf.Hand.t;  (* local: nodes in hand outside any record *)
 }
 
 type t = {
@@ -111,6 +112,7 @@ let create (cfg : Mm_intf.config) =
             counts = Array.make k 0;
             retired = [];
             retired_len = 0;
+            hand = Mm_intf.Hand.create ();
           });
     k;
     threshold;
@@ -131,7 +133,7 @@ let dead t =
 
 let unsafe_skip_validation t = t.validate_deref <- false
 
-let enter_op _t ~tid:_ = ()
+let enter_op t ~tid = Mm_intf.Hand.clear t.threads.(tid).hand
 let exit_op _t ~tid:_ = ()
 
 let find_slot pt u =
@@ -187,6 +189,8 @@ let alloc t ~tid =
      is needed. *)
   let register node =
     let pt = t.threads.(tid) in
+    (* popped but not yet hazarded: only the in-hand record names it *)
+    Mm_intf.Hand.hold pt.hand node;
     let s = find_empty pt in
     B.write t.backend pt.slots.(s) node;
     pt.counts.(s) <- 1;
@@ -321,9 +325,15 @@ let copy_ref t ~tid p =
   end;
   p
 
+(* A successful CAS may unlink [old]; it stays in hand until the
+   caller's [terminate] parks it on the retired list. *)
 let cas_link t ~tid link ~old ~nw =
   C.incr t.ctr ~tid Cas_attempt;
-  if Arena.cas t.arena link ~old ~nw then true
+  if Arena.cas t.arena link ~old ~nw then begin
+    let u = Value.unmark old in
+    if not (Value.is_null u) then Mm_intf.Hand.hold t.threads.(tid).hand u;
+    true
+  end
   else begin
     C.incr t.ctr ~tid Cas_failure;
     false
@@ -346,6 +356,7 @@ let scan t ~tid =
   let keep, free =
     List.partition (fun p -> Hashtbl.mem hazards p) pt.retired
   in
+  Mm_intf.Hand.reclaiming pt.hand free;
   pt.retired <- keep;
   pt.retired_len <- List.length keep;
   List.iter
@@ -431,9 +442,11 @@ let custody t =
         end
       in
       walk (Value.stamped_ptr (B.read t.backend t.head)) 0);
-  let pending = ref [] and pinned = ref [] in
+  let pending = ref [] and pinned = ref [] and in_hand = ref [] in
   Array.iteri
     (fun tid pt ->
+      Mm_intf.Hand.iter pt.hand (fun p ->
+          in_hand := (tid, Value.handle p) :: !in_hand);
       List.iter
         (fun p ->
           let h = Value.handle p in
@@ -456,6 +469,7 @@ let custody t =
       pending = !pending;
       pinned = !pinned;
       deferred = [];
+      in_hand = !in_hand;
       violations = List.rev !violations;
     }
 
@@ -481,6 +495,7 @@ let recover t ~tid =
           end;
           pt.counts.(s) <- 0
         done;
+        Mm_intf.Hand.clear pt.hand;
         List.iter
           (fun p ->
             C.incr t.ctr ~tid Recovery_adopt;

@@ -364,6 +364,7 @@ let custody t =
       pending = [];
       pinned = [];
       deferred = [];
+      in_hand = [];
       violations = List.rev !violations;
     }
 

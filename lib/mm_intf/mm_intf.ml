@@ -163,10 +163,57 @@ type custody = {
          the true count by 2 per entry until the owner flushes;
          duplicates are legal — one entry per outstanding decrement.
          Empty for eager schemes. *)
+  in_hand : (int * int) list;
+      (* (tid, handle): a node that thread held inside its current
+         operation outside every other record — popped from the pool
+         but not yet hazarded (hp) or linked (ebr), unlinked by its
+         [cas_link] but not yet retired, or taken off its retired list
+         or limbo bag but not yet back in the pool (see {!Hand}). A
+         superset: entries may since have become free, reachable or
+         parked, so only the auditor's crash attribution reads it.
+         Empty for the reference-counting schemes, whose counts
+         already betray such nodes. *)
   violations : string list;
       (* structural damage found while walking (cycles, double
          custody); empty on a healthy snapshot *)
 }
+
+(* The per-thread in-hand record behind [custody.in_hand] for the
+   non-refcounted schemes (hp/ebr). With no count to betray it, a node
+   a thread holds between leaving one custody record and entering the
+   next is invisible to an external observer, so a crash in that
+   window would read as a leak. The owner records the node on the way
+   out: [hold] at the pool pop and for the old target of each
+   successful [cas_link], [reclaiming] for the whole batch a
+   scan/collect is about to push. [clear] runs at [enter_op] and for
+   dead tids in [recover]. Single holds live in a ring of the last
+   [ring] entries — an operation has at most a few nodes in hand at
+   once — so a caller that never brackets its operations costs a
+   fixed array, not a growing list. Owner-written, read only at
+   quiescence. *)
+module Hand = struct
+  let ring = 16
+
+  type t = { held : int array; mutable n : int; mutable batch : int list }
+
+  let create () = { held = Array.make ring 0; n = 0; batch = [] }
+
+  let hold h p =
+    h.held.(h.n land (ring - 1)) <- p;
+    h.n <- h.n + 1
+
+  let reclaiming h ps = h.batch <- ps
+
+  let clear h =
+    h.n <- 0;
+    h.batch <- []
+
+  let iter h f =
+    for i = max 0 (h.n - ring) to h.n - 1 do
+      f h.held.(i land (ring - 1))
+    done;
+    List.iter f h.batch
+end
 
 (* What one recovery pass over the declared-dead set accomplished.
    [adopted] counts nodes moved from dead-thread custody (annAlloc

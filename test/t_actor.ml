@@ -72,7 +72,11 @@ let mailbox_tests =
 (* E18's sim leg, miniature and pinned: the victim sends forever and
    is crashed mid-traffic; after the survivors drain and the service
    tears down, recovery must leave nothing leaked — the stranded
-   mailbox nodes land in the crash_held class and come back. *)
+   mailbox nodes land in the crash_held class and come back. Swept
+   over 60 seeds so the crash lands in every hp/ebr window where the
+   victim holds a node outside its custody records (custody.in_hand):
+   the pool pop before the hazard publish or the link, the unlink
+   before the retire, the reclaim before the pool push. *)
 let crash_mid_send scheme ~seed =
   let threads = 3 and actors = 8 and buckets = 8 in
   let victim = threads - 1 in
@@ -130,9 +134,242 @@ let fault_tests =
       (fun () ->
         List.iter
           (fun scheme ->
-            crash_mid_send scheme ~seed:31;
-            crash_mid_send scheme ~seed:77)
+            for seed = 1 to 60 do
+              crash_mid_send scheme ~seed
+            done)
           all_schemes);
+  ]
+
+(* ---------------- Routing by the slot in the id --------------------- *)
+
+(* [send] takes the slot from the id itself and lets the guard's
+   generation check decide liveness, so it issues no registry
+   DeRefLink: a live send costs exactly the tail deref of
+   [Queue.link_last], a dead or negative id none at all. Two buckets
+   for eight actors put four ids on every chain, so a registry lookup
+   would show up as extra derefs. *)
+let route_tests =
+  List.map
+    (fun backend ->
+      tc
+        (Printf.sprintf "wfrc %s: send routes by slot, 1 deref live, 0 dead"
+           (B.name backend))
+        (fun () ->
+          let actors = 8 and buckets = 2 in
+          let cfg =
+            Service.mm_config ~backend ~threads:1 ~capacity:64
+              ~max_actors:actors ~buckets ()
+          in
+          let mm = mm_of "wfrc" cfg in
+          let svc =
+            Service.create mm ~max_actors:actors ~buckets ~seed:5 ~tid:0
+          in
+          let derefs = derefs mm in
+          let ids =
+            List.init actors (fun _ -> Option.get (Service.spawn svc ~tid:0))
+          in
+          List.iter
+            (fun id ->
+              check_int "live send" 1
+                (derefs (fun () ->
+                     check_bool "delivered" true
+                       (Service.send svc ~tid:0 ~dst:id 1))))
+            ids;
+          let a = List.hd ids in
+          check_bool "retired" true (Service.retire svc ~tid:0 a);
+          let dropped () = (Service.totals svc).Service.send_drop in
+          let drops = dropped () in
+          let dead dst =
+            check_int
+              (Printf.sprintf "send to %d" dst)
+              0
+              (derefs (fun () ->
+                   check_bool "dropped" false (Service.send svc ~tid:0 ~dst 2)))
+          in
+          dead a;
+          dead (-1);
+          check_int "both drops counted" (drops + 2) (dropped ());
+          (* the stale id still drops once its slot is live again *)
+          let b = Option.get (Service.spawn svc ~tid:0) in
+          check_int "slot recycled" (a mod actors) (b mod actors);
+          dead a;
+          check_int "live send to the new id" 1
+            (derefs (fun () ->
+                 check_bool "delivered" true (Service.send svc ~tid:0 ~dst:b 3)));
+          ignore (Service.teardown svc ~tid:0);
+          let r = Audit.run mm in
+          check_bool "audit ok" true (Audit.ok r)))
+    [ B.Sim; B.Native ]
+
+(* Thread 0 keeps sending to id [a] while thread 1 retires [a] and
+   spawns [b], which lands in [a]'s slot whenever the retire did not
+   have to park it as a zombie. Whatever the interleaving, [b] never
+   receives a message meant for [a], and every message the service
+   accepted is received or discarded. *)
+let a_tag = 1 and b_tag = 2
+
+let mk_stale scheme ~recycled () =
+  let actors = 2 and buckets = 2 in
+  let cfg =
+    Service.mm_config ~backend:B.Sim ~threads:2 ~capacity:64
+      ~max_actors:actors ~buckets ()
+  in
+  let mm = mm_of scheme cfg in
+  let svc = Service.create mm ~max_actors:actors ~buckets ~seed:9 ~tid:0 in
+  (* slot 1 is on thread 1's free list, so its retire returns the slot
+     to the list its spawn pops *)
+  let a = Option.get (Service.spawn svc ~tid:1) in
+  let b = ref (-1) and got_b = ref [] and stop = Atomic.make false in
+  let rec drain ~tid id =
+    match Service.receive svc ~tid ~self:id with
+    | Some v ->
+        got_b := v :: !got_b;
+        drain ~tid id
+    | None -> ()
+  in
+  let body tid =
+    if tid = 0 then
+      let i = ref 0 in
+      while (not (Atomic.get stop)) && !i < 10_000 do
+        incr i;
+        ignore (Service.send svc ~tid ~dst:a a_tag);
+        (* a dropped send crosses no scheduling point; yield so the
+           sends spread over thread 1's retire and spawn *)
+        Atomics.Schedpoint.hit ()
+      done
+    else begin
+      ignore (Service.receive svc ~tid ~self:a);
+      ignore (Service.retire svc ~tid a);
+      match Service.spawn svc ~tid with
+      | None -> ()
+      | Some id ->
+          b := id;
+          ignore (Service.send svc ~tid ~dst:id b_tag);
+          drain ~tid id
+    end;
+    if tid = 1 then Atomic.set stop true
+  in
+  let check () =
+    (* a stale send that landed after [b]'s own drain is still queued *)
+    if !b >= 0 then drain ~tid:0 !b;
+    List.iter
+      (fun v -> if v <> b_tag then failwith (Printf.sprintf "b received %d" v))
+      !got_b;
+    if !b >= 0 && !b mod actors = a mod actors then incr recycled;
+    let leftover = Service.teardown svc ~tid:0 in
+    let tot = Service.totals svc in
+    if tot.Service.sent <> tot.Service.received + tot.Service.discarded + leftover
+    then
+      failwith
+        (Printf.sprintf "sent %d <> received %d + discarded %d + %d"
+           tot.Service.sent tot.Service.received tot.Service.discarded leftover);
+    let r = Audit.run mm in
+    if not (Audit.ok r) then failwith (Audit.to_string r)
+  in
+  (body, check)
+
+let stale_tests =
+  List.map
+    (fun scheme ->
+      tc (scheme ^ ": stale id never reaches the slot's new actor") (fun () ->
+          let recycled = ref 0 in
+          sweep_ok ~runs:200 ~seed:71_000 ~threads:2
+            (mk_stale scheme ~recycled);
+          check_bool "slot recycled in some schedules" true (!recycled > 0)))
+    all_schemes
+
+(* The same race with real parallelism: domain 0 sends to 16 actors
+   and retires+respawns one on ~1% of sends, domain 1 drains them
+   round-robin. A message carries its send sequence number above the
+   destination id, so the drainer checks both the destination and the
+   per-actor FIFO order. After each respawn the sender also sends to
+   the id it just retired, which must be refused — not delivered to
+   the actor now in that slot, where the drainer would see it. *)
+let native_race_tests =
+  [
+    tc "wfrc native: send/retire/spawn race conserves messages" (fun () ->
+        let threads = 2 and actors = 16 and max_actors = 256 in
+        let buckets = 16 and sends = 20_000 and id_bits = 20 in
+        let cfg =
+          Service.mm_config ~backend:B.Native ~threads ~capacity:16_384
+            ~max_actors ~buckets ()
+        in
+        let mm = mm_of "wfrc" cfg in
+        let svc =
+          Service.create mm ~max_actors ~buckets ~seed:13 ~tid:0
+        in
+        let table =
+          Array.init actors (fun _ ->
+              Atomic.make (Option.get (Service.spawn svc ~tid:0)))
+        in
+        let finished = Atomic.make false in
+        let accepted = ref 0 and delivered = ref 0 in
+        let misrouted = ref 0 and out_of_order = ref 0 in
+        let stale_accepted = ref 0 in
+        ignore
+          (Harness.Runner.run ~threads (fun ~tid ->
+               if tid = 0 then begin
+                 let rng = Rng.create 17 in
+                 for seq = 1 to sends do
+                   let k = Rng.int rng actors in
+                   let id = Atomic.get table.(k) in
+                   if id >= 0 then begin
+                     assert (id < 1 lsl id_bits);
+                     if Service.send svc ~tid ~dst:id ((seq lsl id_bits) lor id)
+                     then incr accepted;
+                     if Rng.int rng 100 = 0 then begin
+                       ignore (Service.retire svc ~tid id);
+                       Atomic.set table.(k)
+                         (match Service.spawn svc ~tid with
+                         | Some fresh -> fresh
+                         | None -> -1);
+                       if Service.send svc ~tid ~dst:id ((seq lsl id_bits) lor id)
+                       then incr stale_accepted
+                     end
+                   end
+                 done;
+                 Atomic.set finished true
+               end
+               else begin
+                 let last = Hashtbl.create 64 in
+                 let rec drain id =
+                   match Service.receive svc ~tid ~self:id with
+                   | None -> ()
+                   | Some v ->
+                       incr delivered;
+                       if v land ((1 lsl id_bits) - 1) <> id then
+                         incr misrouted;
+                       let seq = v lsr id_bits in
+                       (match Hashtbl.find_opt last id with
+                       | Some prev when prev >= seq -> incr out_of_order
+                       | _ -> ());
+                       Hashtbl.replace last id seq;
+                       drain id
+                 in
+                 let rec poll () =
+                   let fin = Atomic.get finished in
+                   Array.iter
+                     (fun cell ->
+                       let id = Atomic.get cell in
+                       if id >= 0 then drain id)
+                     table;
+                   if not fin then poll ()
+                 in
+                 poll ()
+               end));
+        let leftover = Service.teardown svc ~tid:0 in
+        let tot = Service.totals svc in
+        check_int "stale sends accepted" 0 !stale_accepted;
+        check_int "misrouted" 0 !misrouted;
+        check_int "out of order" 0 !out_of_order;
+        check_int "sent = accepted" !accepted tot.Service.sent;
+        check_int "received = delivered" !delivered tot.Service.received;
+        check_int "sent = received + discarded" tot.Service.sent
+          (tot.Service.received + tot.Service.discarded + leftover);
+        check_bool "some retires" true (tot.Service.retired > 0);
+        let r = Audit.run mm in
+        check_int "leaked" 0 r.Audit.leaked;
+        check_bool "audit ok" true (Audit.ok r));
   ]
 
 (* ---------------- Timer-deadline saturation ------------------------- *)
@@ -296,5 +533,6 @@ let closure_tests =
   ]
 
 let suite =
-  mailbox_tests @ fault_tests @ timer_tests @ probe_tests @ destroy_tests
+  mailbox_tests @ fault_tests @ route_tests @ stale_tests @ native_race_tests
+  @ timer_tests @ probe_tests @ destroy_tests
   @ split_tests @ closure_tests

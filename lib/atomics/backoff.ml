@@ -61,15 +61,9 @@ let once_waiting b ~ready =
       match b.park with
       | Some p when b.cur >= b.max ->
           (* Spin budget exhausted: sleep until the owner wakes us.
-             The prepare / re-check / park order closes the race with
-             a release that lands between our failed attempt and the
-             sleep. *)
-          let gen = Park.prepare p in
-          if ready () then Park.cancel p
-          else begin
-            b.on_park ();
-            Park.park p ~gen ~timeout_ns:(-1)
-          end
+             [await]'s re-check closes the race with a release that
+             lands between our failed attempt and the sleep. *)
+          Park.await p ~ready ~timeout_ns:(-1) ~on_park:b.on_park
       | _ ->
           spin b;
           bump b)

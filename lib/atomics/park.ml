@@ -112,6 +112,16 @@ let park t ~gen ~timeout_ns =
       Mutex.unlock c.m);
   Atomic.decr t.waiters
 
+(* The whole parker side of the protocol in one call, so no caller
+   can get the order wrong. *)
+let await ?on_park t ~ready ~timeout_ns =
+  let gen = prepare t in
+  if ready () then cancel t
+  else begin
+    (match on_park with Some f -> f () | None -> ());
+    park t ~gen ~timeout_ns
+  end
+
 let wake t =
   (match t.state with
   | Fut f -> futex_bump f

@@ -3,18 +3,17 @@
 
     Usage (parker):
     {[
-      let gen = Park.prepare p in
-      if condition_now_satisfied () then Park.cancel p
-      else Park.park p ~gen ~timeout_ns
+      Park.await p ~ready:condition_now_satisfied ~timeout_ns
     ]}
     and (waker), after publishing the condition:
     {[
       if Park.wake p then Counters.incr ctr ~tid Park_wake
     ]}
 
-    The [prepare]/re-check/[park] order is load-bearing: it closes the
-    lost-wakeup race (see park.ml). Never used under the [Sim]
-    backend — parking is invisible to the deterministic scheduler. *)
+    {!await} runs the prepare / re-check / park sequence whose order
+    closes the lost-wakeup race (see park.ml). Never used under the
+    [Sim] backend — parking is invisible to the deterministic
+    scheduler. *)
 
 type t
 
@@ -30,6 +29,26 @@ val impl : t -> impl
 val waiters : t -> int
 (** Registered parkers ([prepare]d, not yet returned). Approximate
     under concurrency; exact at quiescence. *)
+
+val await :
+  ?on_park:(unit -> unit) ->
+  t ->
+  ready:(unit -> bool) ->
+  timeout_ns:int ->
+  unit
+(** Wait for the condition [ready] reports: register, re-check
+    [ready], and sleep unless it already holds, until a {!wake}, the
+    timeout ([timeout_ns < 0] = none) or a spurious wakeup. [on_park]
+    runs just before an actual sleep (callers count [Park_wait]
+    there). Returns without re-checking: callers re-poll their
+    condition. A stall nothing wakes passes [ready = fun () -> false]
+    and a finite timeout. *)
+
+(** {1 The layer beneath [await]}
+
+    The eventcount primitives {!await} is built from. Callers use
+    {!await}; these stay exposed for the ordering and lost-wakeup
+    tests, which drive the steps one at a time. *)
 
 val prepare : t -> int
 (** Read the current generation, then register as a waiter (in that

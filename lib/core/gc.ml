@@ -89,7 +89,7 @@ type t = {
      touches the shared mm_ref words at flush time (buffer-full, the
      A7 OOM path, [declare_dead], recovery, or quiescent inspection).
      [None] — every eager scheme — keeps the legacy code byte-exact. *)
-  dead : bool array;
+  dead : Mm_intf.Dead.t;
   (* tids declared permanently stopped (Mm_intf.declare_dead); set by
      the harness/supervisor, consulted by [recover] and the A7
      bounded-wait OOM path *)
@@ -184,7 +184,7 @@ let create ?(placement = `Paper) ?(help_alloc = true) (cfg : Mm_intf.config) =
     defer =
       (if cfg.defer > 0 then Some (Rcbuf.create ~threads:n ~cap:cfg.defer)
        else None);
-    dead = Array.make n false;
+    dead = Mm_intf.Dead.create n;
     recovering = false;
     adopt_lock = Atomic.make 0;
     work =
@@ -404,7 +404,7 @@ let adopt_dead_caches t ~tid =
       else begin
         let n = ref 0 in
         for id = 0 to t.n - 1 do
-          if t.dead.(id) && id <> tid then begin
+          if Mm_intf.Dead.mem t.dead id && id <> tid then begin
             let c = caches.(id) in
             while c.clen > 0 do
               c.clen <- c.clen - 1;
@@ -633,156 +633,71 @@ let fix_ref t node fix =
 
 (* ---------------- Quiescent inspection ----------------------------- *)
 
-(* Walk every free-list chain and [annAlloc], returning the set of
-   free node handles. Only meaningful with no concurrent operations.
-   Checks chain sanity as it goes. *)
+(* Snapshot for the post-run auditor ([Mm_intf.custody]): never
+   raises, reporting structural damage as violation strings instead.
+   The free-list chains and the domain-local caches are [free] (the
+   auditor's node partition must stay conservative when the run
+   quiesced with populated caches); annAlloc donations are [pending]
+   under the cell's owner (only that thread's A4 can collect them);
+   unretracted announcement answers are [pinned] by the announcing
+   thread — both exactly what a crashed thread strands. In-buffer
+   pending decrements are their own custody class: the snapshot must
+   NOT flush (it is taken over crashed runs), so the auditor sees
+   exactly what each thread still owes the shared counts. *)
+let custody t =
+  let cap = t.cfg.capacity in
+  let free_iter ~violation ~f =
+    for i = 0 to (2 * t.n) - 1 do
+      let rec walk p steps =
+        if steps > cap then violation (Printf.sprintf "cycle in freeList[%d]" i)
+        else if not (Value.is_null p) then begin
+          f p;
+          walk (Arena.read_mm_next t.arena p) (steps + 1)
+        end
+      in
+      walk (Hot.read t.hot (hw_free i)) 0
+    done;
+    match t.caches with
+    | Some caches ->
+        Array.iter
+          (fun c ->
+            for i = 0 to c.clen - 1 do
+              f c.cslots.(i)
+            done)
+          caches
+    | None -> ()
+  in
+  let donations =
+    List.filter_map
+      (fun i ->
+        let p = Hot.read t.hot (hw_ann t i) in
+        if Value.is_null p then None else Some (i, p))
+      (List.init t.n Fun.id)
+  in
+  Mm_intf.Custody.make ~capacity:cap free_iter ~pending:donations
+    ~pinned:(Ann.answers t.ann)
+    ~deferred:(match t.defer with None -> [] | Some b -> Rcbuf.entries b)
+
+(* The quiescent, raising reading: every free-list, cache and annAlloc
+   node, with mm_ref = 1 on the lists and caches and the F3-inflated 3
+   on a donation. Quiescence is a flush trigger: every thread's rc
+   buffer is drained first, so the counts are the true ones. *)
 let free_set t =
-  (* Quiescence is a flush trigger: drain every thread's rc buffer so
-     the chains below reflect the true counts (the walk expects
-     mm_ref = 1 on every free node, which pending decrements would
-     otherwise postpone). Quiescent-only, like the walk itself. *)
   (match t.defer with
   | Some _ ->
       for id = 0 to t.n - 1 do
         flush t ~tid:id
       done
   | None -> ());
-  let cap = t.cfg.capacity in
-  let seen = Array.make (cap + 1) false in
-  let record ~where p ~expect_ref =
-    let h = Value.handle p in
-    if seen.(h) then
-      failwith (Printf.sprintf "Gc: node #%d reachable twice (%s)" h where);
-    seen.(h) <- true;
-    let r = Arena.read_mm_ref t.arena p in
-    if r <> expect_ref then
-      failwith
-        (Printf.sprintf "Gc: free node #%d has mm_ref=%d, expected %d (%s)" h
-           r expect_ref where)
-  in
-  for i = 0 to (2 * t.n) - 1 do
-    let where = Printf.sprintf "freeList[%d]" i in
-    let rec walk p steps =
-      if steps > cap then failwith ("Gc: cycle in " ^ where)
-      else if not (Value.is_null p) then begin
-        record ~where p ~expect_ref:1;
-        walk (Arena.read_mm_next t.arena p) (steps + 1)
-      end
-    in
-    walk (Hot.read t.hot (hw_free i)) 0
-  done;
-  for i = 0 to t.n - 1 do
-    let p = Hot.read t.hot (hw_ann t i) in
-    if not (Value.is_null p) then
-      record ~where:(Printf.sprintf "annAlloc[%d]" i) p ~expect_ref:3
-  done;
-  (match t.caches with
-  | Some caches ->
-      Array.iteri
-        (fun tid c ->
-          for i = 0 to c.clen - 1 do
-            record
-              ~where:(Printf.sprintf "cache[%d]" tid)
-              c.cslots.(i) ~expect_ref:1
-          done)
-        caches
-  | None -> ());
-  seen
+  Mm_intf.Custody.free_refs ~who:"Gc" ~arena:t.arena ~pending_ref:3
+    (custody t)
 
-let free_count t =
-  let seen = free_set t in
-  let c = ref 0 in
-  Array.iter (fun b -> if b then incr c) seen;
-  !c
-
-(* Tolerant variant of [free_set] for the post-run auditor
-   ([Mm_intf.custody]): never raises, reporting structural damage as
-   violation strings instead. AnnAlloc donations are [pending] under
-   the cell's owner (only that thread's A4 can collect them), and
-   unretracted announcement answers are [pinned] by the announcing
-   thread — both exactly what a crashed thread strands. *)
-let custody t =
-  let cap = t.cfg.capacity in
-  let free = Array.make (cap + 1) false in
-  let violations = ref [] in
-  let violation fmt =
-    Printf.ksprintf (fun s -> violations := s :: !violations) fmt
-  in
-  for i = 0 to (2 * t.n) - 1 do
-    let rec walk p steps =
-      if steps > cap then violation "cycle in freeList[%d]" i
-      else if not (Value.is_null p) then begin
-        let h = Value.handle p in
-        if free.(h) then violation "node #%d on two free chains" h
-        else begin
-          free.(h) <- true;
-          walk (Arena.read_mm_next t.arena p) (steps + 1)
-        end
-      end
-    in
-    walk (Hot.read t.hot (hw_free i)) 0
-  done;
-  let pending = ref [] in
-  for i = 0 to t.n - 1 do
-    let p = Hot.read t.hot (hw_ann t i) in
-    if not (Value.is_null p) then begin
-      let h = Value.handle p in
-      if free.(h) then
-        violation "annAlloc[%d] node #%d also on a free chain" i h
-      else pending := (i, h) :: !pending
-    end
-  done;
-  (* Domain-local caches count as [free] custody, like the free
-     chains: the auditor's node partition must stay conservative when
-     the run quiesced with populated caches. *)
-  (match t.caches with
-  | Some caches ->
-      Array.iteri
-        (fun tid c ->
-          for i = 0 to c.clen - 1 do
-            let h = Value.handle c.cslots.(i) in
-            if free.(h) then
-              violation "cache[%d] node #%d also on a free chain" tid h
-            else free.(h) <- true
-          done)
-        caches
-  | None -> ());
-  let pinned =
-    List.map (fun (tid, p) -> (tid, Value.handle p)) (Ann.answers t.ann)
-  in
-  (* In-buffer pending decrements are their own custody class — the
-     snapshot must NOT flush (it is taken over crashed runs), so the
-     auditor sees exactly what each thread still owes the shared
-     counts. A buffered decrement on a free-chain node would mean the
-     claim fired while a decrement was still owed: structural
-     damage. *)
-  let deferred =
-    match t.defer with
-    | None -> []
-    | Some b ->
-        List.map
-          (fun (tid, p) ->
-            let h = Value.handle p in
-            if h >= 1 && h <= cap && free.(h) then
-              violation "rc buffer[%d] entry #%d is on a free chain" tid h;
-            (tid, h))
-          (Rcbuf.entries b)
-  in
-  Mm_intf.
-    {
-      free;
-      pending = !pending;
-      pinned;
-      deferred;
-      in_hand = [];
-      violations = List.rev !violations;
-    }
+let free_count t = Mm_intf.Custody.count (free_set t)
 
 (* ---------------- Crash recovery (quiescent-survivors) ------------- *)
 
 let declare_dead t ~tid =
-  if tid < 0 || tid >= t.n then invalid_arg "Gc.declare_dead";
-  t.dead.(tid) <- true;
+  Mm_intf.Dead.declare t.dead ~who:tid;
   (* Adopt-and-drain the dead thread's rc buffer at once: its pending
      decrements can never flush themselves again, and leaving them
      parked would hold the over-approximated counts (and any
@@ -796,12 +711,7 @@ let declare_dead t ~tid =
   Fun.protect ~finally:(fun () -> t.recovering <- was) @@ fun () ->
   flush t ~tid
 
-let dead t =
-  let acc = ref [] in
-  for id = t.n - 1 downto 0 do
-    if t.dead.(id) then acc := id :: !acc
-  done;
-  !acc
+let dead t = Mm_intf.Dead.list t.dead
 
 (* Finish the free a crashed thread never ran: clear the links as R3
    would (releasing their targets), restore the claimed count, and
@@ -818,7 +728,7 @@ let revive t ~tid node =
   free_node t ~tid node
 
 let recover t ~tid =
-  if not (Array.exists Fun.id t.dead) then Mm_intf.no_recovery
+  if not (Mm_intf.Dead.any t.dead) then Mm_intf.no_recovery
   else begin
     (* Donation (F1-F3/A11-A12 receipts) stays suppressed for the
        whole pass: recovered nodes must land on the free-lists or
@@ -840,8 +750,8 @@ let recover t ~tid =
     (* 1. Dead announcement rows first: an un-retracted answer holds a
        reference acquired on the dead announcer's behalf (H6), which
        would read as surplus on a live node in step 2. *)
-    for id = 0 to t.n - 1 do
-      if t.dead.(id) then begin
+    List.iter
+      (fun id ->
         let slots, answers = Ann.clear_row t.ann ~tid:id in
         cleared := !cleared + slots;
         List.iter
@@ -849,20 +759,14 @@ let recover t ~tid =
             C.incr t.ctr ~tid Recovery_release;
             incr released;
             release t ~tid p)
-          answers
-      end
-    done;
+          answers)
+      (dead t);
     cleared := !cleared + Ann.clear_busy t.ann;
     (* 2. Reference-count anomalies, to the fixpoint. *)
     let revived, drops =
-      Mm_intf.Rc_anomaly.run ~arena:t.arena
+      Mm_intf.Rc_anomaly.run ~arena:t.arena ~counters:t.ctr ~tid
         ~custody:(fun () -> custody t)
-        ~release:(fun p ->
-          C.incr t.ctr ~tid Recovery_release;
-          release t ~tid p)
-        ~revive:(fun p ->
-          C.incr t.ctr ~tid Recovery_adopt;
-          revive t ~tid p)
+        ~release:(release t ~tid) ~revive:(revive t ~tid)
     in
     adopted := !adopted + revived;
     released := !released + drops;
@@ -870,33 +774,23 @@ let recover t ~tid =
        donated into a dead annAlloc cell (suppressed), so one pass
        drains each for good. Donations carry the F3 inflation
        (mm_ref 3): restore the free-node claim of 1 before pushing. *)
-    for id = 0 to t.n - 1 do
-      if t.dead.(id) then begin
+    List.iter
+      (fun id ->
         let v = Hot.take t.hot (hw_ann t id) in
         if not (Value.is_null v) then begin
           Arena.faa_mm_ref t.arena v (-2);
           C.incr t.ctr ~tid Recovery_adopt;
           incr adopted;
           free_push t ~tid v
-        end
-      end
-    done;
+        end)
+      (dead t);
     adopted := !adopted + adopt_dead_caches t ~tid;
     { Mm_intf.adopted = !adopted; released = !released; cleared = !cleared }
   end
 
 let validate t =
   Ann.validate t.ann;
-  let seen = free_set t in
-  (* Allocated nodes must carry an even (unclaimed) reference count. *)
-  Arena.iter_nodes t.arena (fun p ->
-      if not seen.(Value.handle p) then begin
-        let r = Arena.read_mm_ref t.arena p in
-        if r < 0 || r land 1 = 1 then
-          failwith
-            (Printf.sprintf "Gc: allocated node #%d has bad mm_ref=%d"
-               (Value.handle p) r)
-      end);
+  Mm_intf.Custody.allocated_refs ~who:"Gc" ~arena:t.arena (free_set t);
   let cur = Hot.read t.hot hw_current in
   if cur < 0 || cur >= 2 * t.n then
     failwith (Printf.sprintf "Gc: currentFreeList=%d out of range" cur);

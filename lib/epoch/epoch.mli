@@ -10,6 +10,9 @@
 
 include Mm_intf.S
 
+val pool : t -> Mm_intf.Pool.t
+(** The instance's free pool, for tests that corrupt it on purpose. *)
+
 val try_advance : t -> tid:int -> unit
 (** Attempt one global-epoch advance (normally driven by
     [exit_op]). *)

@@ -78,8 +78,8 @@ let listener t ~tid (_ : Shmem.Value.ptr) (_ : Mm_intf.Events.lifecycle) =
     | 0 ->
         t.stall_in.(tid) <- -1;
         t.stalled.(tid) <- true;
-        let gen = Park.prepare t.park in
-        Park.park t.park ~gen ~timeout_ns:t.stall_ns.(tid)
+        (* nothing wakes a stall: it lasts its whole timeout *)
+        Park.await t.park ~ready:(fun () -> false) ~timeout_ns:t.stall_ns.(tid)
     | n when n > 0 -> t.stall_in.(tid) <- n - 1
     | _ -> ());
     match t.crash_in.(tid) with

@@ -18,8 +18,9 @@
      multi-level skiplist (lib/structures/pqueue.ml) does not run on
      this scheme. That restriction is the paper's point.
 
-   The free pool is a stamp-tagged Treiber stack. Reference-count
-   fields exist in the arena but are not used by this scheme. *)
+   The free pool, custody snapshot and dead set are the shared
+   skeleton ({!Mm_intf.Pool}); reference-count fields exist in the
+   arena but are not used by this scheme. *)
 
 module P = Atomics.Primitives
 module B = Atomics.Backend
@@ -27,7 +28,8 @@ module C = Atomics.Counters
 module Value = Shmem.Value
 module Layout = Shmem.Layout
 module Arena = Shmem.Arena
-module Freestore = Shmem.Freestore
+module Pool = Mm_intf.Pool
+module Custody = Mm_intf.Custody
 
 type per_thread = {
   slots : P.cell array;   (* shared: scanners read these *)
@@ -42,12 +44,11 @@ type t = {
   backend : B.t;
   arena : Arena.t;
   ctr : C.t;
-  head : P.cell;          (* stamped free-pool head *)
-  store : Freestore.t option; (* sharded Native free store (else legacy) *)
+  pool : Pool.t;
   threads : per_thread array;
   k : int;
   threshold : int;
-  dead : bool array; (* tids declared permanently stopped *)
+  dead : Mm_intf.Dead.t;
   mutable validate_deref : bool;
   (* [true] in every real configuration. [unsafe_skip_validation]
      clears it to seed the classic hazard-pointer bug — publishing the
@@ -60,6 +61,7 @@ let refcounted = false
 let config t = t.cfg
 let arena t = t.arena
 let counters t = t.ctr
+let pool t = t.pool
 let slots_per_thread t = t.k
 
 let create (cfg : Mm_intf.config) =
@@ -71,11 +73,6 @@ let create (cfg : Mm_intf.config) =
     Arena.create ~backend ~rep:cfg.rep ~layout ~capacity:cfg.capacity
       ~num_roots:cfg.num_roots ()
   in
-  for h = 1 to cfg.capacity do
-    let p = Value.of_handle h in
-    Arena.write_mm_next arena p
-      (if h < cfg.capacity then Value.of_handle (h + 1) else Value.null)
-  done;
   (* Enough slots for the deepest structure we ship plus slack. *)
   let k = max 16 ((2 * cfg.num_links) + 8) in
   (* Per-thread retirement threshold: bounded both by the classic
@@ -86,23 +83,13 @@ let create (cfg : Mm_intf.config) =
       (min (2 * k * cfg.threads) ((cfg.capacity / (4 * cfg.threads)) + 1))
   in
   let ctr = C.create ~backend ~threads:cfg.threads () in
-  let store =
-    if Mm_intf.sharded cfg then
-      Some
-        (Freestore.create ~backend ~rep:cfg.rep ~arena ~counters:ctr
-           ~shards:cfg.shards ~batch:cfg.batch ~threads:cfg.threads ())
-    else None
-  in
+  let dead = Mm_intf.Dead.create cfg.threads in
   {
     cfg;
     backend;
     arena;
     ctr;
-    head =
-      B.make_contended backend
-        (Value.pack_stamped ~stamp:0
-           ~ptr:(if store = None then Value.of_handle 1 else Value.null));
-    store;
+    pool = Mm_intf.pool cfg ~arena ~counters:ctr ~dead;
     threads =
       Array.init cfg.threads (fun _ ->
           {
@@ -116,20 +103,12 @@ let create (cfg : Mm_intf.config) =
           });
     k;
     threshold;
-    dead = Array.make cfg.threads false;
+    dead;
     validate_deref = true;
   }
 
-let declare_dead t ~tid =
-  if tid < 0 || tid >= t.cfg.threads then invalid_arg "Hazard.declare_dead";
-  t.dead.(tid) <- true
-
-let dead t =
-  let acc = ref [] in
-  for id = t.cfg.threads - 1 downto 0 do
-    if t.dead.(id) then acc := id :: !acc
-  done;
-  !acc
+let declare_dead t ~tid = Mm_intf.Dead.declare t.dead ~who:tid
+let dead t = Mm_intf.Dead.list t.dead
 
 let unsafe_skip_validation t = t.validate_deref <- false
 
@@ -155,26 +134,6 @@ let find_empty pt =
   in
   go 0
 
-(* Free-pool push: the node is certainly private here. *)
-let pool_push t ~tid node =
-  Mm_intf.Events.emit ~tid node Mm_intf.Events.Free;
-  C.incr t.ctr ~tid Free;
-  match t.store with
-  | Some fs -> Freestore.free fs ~tid node
-  | None ->
-      let rec push () =
-        let hv = B.read t.backend t.head in
-        Arena.write_mm_next t.arena node (Value.stamped_ptr hv);
-        let nw =
-          Value.pack_stamped ~stamp:(Value.stamped_stamp hv + 1) ~ptr:node
-        in
-        if not (B.cas t.backend t.head ~old:hv ~nw) then begin
-          C.incr t.ctr ~tid Free_retry;
-          push ()
-        end
-      in
-      push ()
-
 (* Forward declaration: [scan] is defined below but alloc needs it for
    pressure-driven reclamation. *)
 let scan_ref :
@@ -197,75 +156,14 @@ let alloc t ~tid =
     Mm_intf.Events.emit ~tid node Mm_intf.Events.Alloc;
     node
   in
-  let scanned = ref false in
-  match t.store with
-  | Some fs ->
-      (* Pool pressure: first reclaim our own retired backlog, then
-         retry bounded full passes — an empty pass may just mean the
-         free nodes are parked in other threads' caches. *)
-      let limit = (16 * t.cfg.threads) + 16 in
-      let rec claim rounds ~waits ~adopted =
-        match Freestore.alloc fs ~tid with
-        | Some node -> register node
-        | None ->
-            if not !scanned then begin
-              scanned := true;
-              !scan_ref t ~tid;
-              claim rounds ~waits ~adopted
-            end
-            else if rounds >= limit then begin
-              (* Bounded wait: adopt declared-dead peers' caches once,
-                 then surface typed backpressure rather than parking
-                 forever on nodes nobody will ever return. *)
-              if (not adopted) && Freestore.adopt fs ~tid ~dead:(dead t) > 0
-              then claim 0 ~waits ~adopted:true
-              else begin
-                C.incr t.ctr ~tid Oom_backpressure;
-                raise (Mm_intf.Out_of_nodes { retries = rounds; waits })
-              end
-            end
-            else begin
-              C.incr t.ctr ~tid Alloc_retry;
-              (* Park until a remote free publishes nodes; bounded
-                 timeout because other domains' caches are invisible
-                 to the store and produce no wake. *)
-              Freestore.wait_free fs ~tid ~timeout_ns:200_000;
-              claim (rounds + 1) ~waits:(waits + 1) ~adopted
-            end
-      [@@wfrc.bounded
-        "round counter: rounds advances toward limit at every pass; the \
-         scan retry and the adopt reset are each gated by a one-shot \
-         flag, so at most 2*limit+1 rounds before typed Out_of_nodes"]
-      in
-      claim 0 ~waits:0 ~adopted:false
-  | None ->
-      let rec pop () =
-        let hv = B.read t.backend t.head in
-        let node = Value.stamped_ptr hv in
-        if Value.is_null node then
-          if not !scanned then begin
-            (* pool pressure: reclaim our own retired backlog and retry *)
-            scanned := true;
-            !scan_ref t ~tid;
-            pop ()
-          end
-          else raise Mm_intf.Out_of_memory
-        else
-          let next = Arena.read_mm_next t.arena node in
-          let nw =
-            Value.pack_stamped ~stamp:(Value.stamped_stamp hv + 1) ~ptr:next
-          in
-          if B.cas t.backend t.head ~old:hv ~nw then register node
-          else begin
-            C.incr t.ctr ~tid Alloc_retry;
-            pop ()
-          end
-      [@@wfrc.expect_unbounded
-        "stamped Treiber pop: the head CAS can lose to concurrent \
-         pushes/pops indefinitely (plus a one-shot scan-and-retry on \
-         pool pressure) — the legacy lock-free allocation path"]
-      in
-      pop ()
+  (* Pool pressure: first reclaim our own retired backlog, then —
+     sharded only — park bounded rounds, since an empty pass may just
+     mean the free nodes sit in other threads' caches. *)
+  register
+    (Pool.claim t.pool ~tid
+       ~limit:(1 + Pool.park_rounds t.pool)
+       ~between:(fun round ->
+         if round = 0 then !scan_ref t ~tid else Pool.park t.pool ~tid))
 
 let rec deref t ~tid link =
   C.incr t.ctr ~tid Deref;
@@ -362,7 +260,7 @@ let scan t ~tid =
   List.iter
     (fun p ->
       C.incr t.ctr ~tid Node_reclaimed;
-      pool_push t ~tid p)
+      Pool.push t.pool ~tid p)
     free
 
 let terminate t ~tid p =
@@ -372,106 +270,25 @@ let terminate t ~tid p =
   pt.retired_len <- pt.retired_len + 1;
   if pt.retired_len >= t.threshold then scan t ~tid
 
-(* Quiescent inspection. *)
-let free_set t =
-  let cap = t.cfg.capacity in
-  let seen = Array.make (cap + 1) false in
-  let record where p =
-    let h = Value.handle p in
-    if seen.(h) then failwith ("Hazard: node reachable twice (" ^ where ^ ")");
-    seen.(h) <- true
-  in
-  (match t.store with
-  | Some fs ->
-      Freestore.iter_free fs ~violation:failwith ~f:(fun p -> record "pool" p)
-  | None ->
-      let rec walk p steps =
-        if steps > cap then failwith "Hazard: cycle in free pool"
-        else if not (Value.is_null p) then begin
-          record "pool" p;
-          walk (Arena.read_mm_next t.arena p) (steps + 1)
-        end
-      in
-      walk (Value.stamped_ptr (B.read t.backend t.head)) 0);
-  Array.iter
-    (fun pt -> List.iter (fun p -> record "retired" p) pt.retired)
-    t.threads;
-  seen
-
-let free_count t =
-  let seen = free_set t in
-  let c = ref 0 in
-  Array.iter (fun b -> if b then incr c) seen;
-  !c
-
-(* Tolerant snapshot for the auditor. [free] covers only the pool:
-   retired nodes are [pending] under their retiring thread (a crashed
-   owner strands its whole backlog — exactly the hazard-pointer
-   failure mode the paper contrasts with); published hazard slots are
-   [pinned] (a crashed thread never clears them, blocking every
-   scanner forever). *)
+(* Quiescent inspection. [free] covers only the pool: retired nodes
+   are [pending] under their retiring thread (a crashed owner strands
+   its whole backlog — exactly the hazard-pointer failure mode the
+   paper contrasts with); published hazard slots are [pinned] (a
+   crashed thread never clears them, blocking every scanner
+   forever). *)
 let custody t =
-  let cap = t.cfg.capacity in
-  let free = Array.make (cap + 1) false in
-  let violations = ref [] in
-  let record p =
-    let h = Value.handle p in
-    if free.(h) then
-      violations := Printf.sprintf "node #%d in the pool twice" h :: !violations
-    else free.(h) <- true
-  in
-  (match t.store with
-  | Some fs ->
-      (* Stripe chains, return buffers and caches are all [free]
-         custody for the auditor's partition. *)
-      Freestore.iter_free fs
-        ~violation:(fun s -> violations := s :: !violations)
-        ~f:record
-  | None ->
-      let rec walk p steps =
-        if steps > cap then violations := "cycle in free pool" :: !violations
-        else if not (Value.is_null p) then begin
-          let h = Value.handle p in
-          if free.(h) then
-            violations :=
-              Printf.sprintf "node #%d in the pool twice" h :: !violations
-          else begin
-            free.(h) <- true;
-            walk (Arena.read_mm_next t.arena p) (steps + 1)
-          end
-        end
-      in
-      walk (Value.stamped_ptr (B.read t.backend t.head)) 0);
-  let pending = ref [] and pinned = ref [] and in_hand = ref [] in
-  Array.iteri
-    (fun tid pt ->
-      Mm_intf.Hand.iter pt.hand (fun p ->
-          in_hand := (tid, Value.handle p) :: !in_hand);
-      List.iter
-        (fun p ->
-          let h = Value.handle p in
-          if free.(h) then
-            violations :=
-              Printf.sprintf "retired node #%d also in the pool" h
-              :: !violations
-          else pending := (tid, h) :: !pending)
-        pt.retired;
-      Array.iter
-        (fun cell ->
-          let v = B.read t.backend cell in
-          if not (Value.is_null v) then
-            pinned := (tid, Value.handle v) :: !pinned)
-        pt.slots)
-    t.threads;
-  Mm_intf.
-    {
-      free;
-      pending = !pending;
-      pinned = !pinned;
-      deferred = [];
-      in_hand = !in_hand;
-      violations = List.rev !violations;
-    }
+  let each = Custody.per_thread t.threads in
+  Custody.make ~capacity:t.cfg.capacity (Pool.iter_free t.pool)
+    ~pending:(each (fun pt -> pt.retired))
+    ~pinned:
+      (each (fun pt ->
+           List.filter
+             (fun v -> not (Value.is_null v))
+             (List.map (B.read t.backend) (Array.to_list pt.slots))))
+    ~in_hand:(each (fun pt -> Mm_intf.Hand.to_list pt.hand))
+
+let free_set t = Custody.strict ~who:"Hazard" (custody t)
+let free_count t = Custody.count (free_set t)
 
 (* Crash recovery: clear the dead threads' published hazard slots (a
    crashed reader pins its targets for every scanner, forever), adopt
@@ -481,49 +298,40 @@ let custody t =
    node and retiring it strands the node outside every custody
    record, where only a root-marking pass can find it. *)
 let recover t ~tid =
-  if not (Array.exists Fun.id t.dead) then Mm_intf.no_recovery
+  if not (Mm_intf.Dead.any t.dead) then Mm_intf.no_recovery
   else begin
     let adopted = ref 0 and cleared = ref 0 in
     let me = t.threads.(tid) in
-    for id = 0 to t.cfg.threads - 1 do
-      if t.dead.(id) && id <> tid then begin
-        let pt = t.threads.(id) in
-        for s = 0 to t.k - 1 do
-          if not (Value.is_null (B.read t.backend pt.slots.(s))) then begin
-            B.write t.backend pt.slots.(s) 0;
-            incr cleared
-          end;
-          pt.counts.(s) <- 0
-        done;
-        Mm_intf.Hand.clear pt.hand;
-        List.iter
-          (fun p ->
-            C.incr t.ctr ~tid Recovery_adopt;
-            incr adopted;
-            me.retired <- p :: me.retired;
-            me.retired_len <- me.retired_len + 1)
-          pt.retired;
-        pt.retired <- [];
-        pt.retired_len <- 0
-      end
-    done;
+    List.iter
+      (fun id ->
+        if id <> tid then begin
+          let pt = t.threads.(id) in
+          for s = 0 to t.k - 1 do
+            if not (Value.is_null (B.read t.backend pt.slots.(s))) then begin
+              B.write t.backend pt.slots.(s) 0;
+              incr cleared
+            end;
+            pt.counts.(s) <- 0
+          done;
+          Mm_intf.Hand.clear pt.hand;
+          List.iter
+            (fun p ->
+              C.incr t.ctr ~tid Recovery_adopt;
+              incr adopted;
+              me.retired <- p :: me.retired;
+              me.retired_len <- me.retired_len + 1)
+            pt.retired;
+          pt.retired <- [];
+          pt.retired_len <- 0
+        end)
+      (dead t);
     scan t ~tid;
-    let cached =
-      match t.store with
-      | Some fs -> Freestore.adopt fs ~tid ~dead:(dead t)
-      | None -> 0
-    in
-    let c = custody t in
-    let kept = Array.make (t.cfg.capacity + 1) false in
-    List.iter (fun (_, h) -> kept.(h) <- true) c.Mm_intf.pending;
-    List.iter (fun (_, h) -> kept.(h) <- true) c.Mm_intf.pinned;
+    let cached = Pool.adopt_dead t.pool ~tid in
     let swept =
-      Mm_intf.Orphan.sweep ~arena:t.arena ~free:c.Mm_intf.free
-        ~keep:(fun h -> kept.(h))
-        ~reclaim:(fun p ->
+      Mm_intf.Orphan.sweep ~arena:t.arena (custody t) ~reclaim:(fun p ->
           C.incr t.ctr ~tid Recovery_adopt;
           C.incr t.ctr ~tid Node_reclaimed;
-          pool_push t ~tid p)
+          Pool.push t.pool ~tid p)
     in
     {
       Mm_intf.adopted = !adopted + cached + swept;

@@ -11,6 +11,9 @@
 
 include Mm_intf.S
 
+val pool : t -> Mm_intf.Pool.t
+(** The instance's free pool, for tests that corrupt it on purpose. *)
+
 val slots_per_thread : t -> int
 (** The K of this instance (derived from the node layout). *)
 

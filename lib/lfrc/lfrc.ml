@@ -9,40 +9,38 @@
      changed, undo and try again. Lock-free, not wait-free — a
      concurrent updater can force any number of retries (experiment
      E2 measures exactly this against the paper's bounded scheme).
-   - The free-list is a single Treiber stack whose head carries a
-     modification stamp (tagged pointer), the classic ABA fix; the
-     pop is additionally protected by the reference count, as in §3.1.
+   - The free-list is the shared stamped Treiber pool
+     ({!Mm_intf.Pool}); the pop is additionally protected by the
+     reference count, as in §3.1 (the pool's [pin] hook).
 
    Reference-count conventions are identical to [Wfrc]: two units per
    reference, odd value = claimed by the allocator. *)
 
 module B = Atomics.Backend
 module C = Atomics.Counters
-module Hot = Atomics.Hot
 module Value = Shmem.Value
 module Layout = Shmem.Layout
 module Arena = Shmem.Arena
-module Freestore = Shmem.Freestore
+module Pool = Mm_intf.Pool
+module Custody = Mm_intf.Custody
 
 type t = {
   cfg : Mm_intf.config;
   backend : B.t;
   arena : Arena.t;
   ctr : C.t;
-  hot : Hot.t; (* one slot: the stamped free-list head *)
-  store : Freestore.t option; (* sharded Native free store (else legacy) *)
+  pool : Pool.t;
   work : int array array; (* per-thread release work stacks *)
   scratch : int array array; (* per-thread link-collect buffers *)
-  dead : bool array; (* tids declared permanently stopped *)
+  dead : Mm_intf.Dead.t;
 }
-
-let hw_head = 0
 
 let name = "lfrc"
 let refcounted = true
 let config t = t.cfg
 let arena t = t.arena
 let counters t = t.ctr
+let pool t = t.pool
 
 let create (cfg : Mm_intf.config) =
   let backend = cfg.backend in
@@ -53,50 +51,27 @@ let create (cfg : Mm_intf.config) =
     Arena.create ~backend ~rep:cfg.rep ~layout ~capacity:cfg.capacity
       ~num_roots:cfg.num_roots ()
   in
-  for h = 1 to cfg.capacity do
-    let p = Value.of_handle h in
-    Arena.write_mm_next arena p
-      (if h < cfg.capacity then Value.of_handle (h + 1) else Value.null);
-    Arena.write arena (Arena.mm_ref_addr arena p) 1
-  done;
+  (* every node starts free, claimed by the allocator (mm_ref = 1) *)
+  Arena.iter_nodes arena (fun p ->
+      Arena.write arena (Arena.mm_ref_addr arena p) 1);
   let ctr = C.create ~backend ~threads:cfg.threads () in
-  let store =
-    if Mm_intf.sharded cfg then
-      Some
-        (Freestore.create ~backend ~rep:cfg.rep ~arena ~counters:ctr
-           ~shards:cfg.shards ~batch:cfg.batch ~threads:cfg.threads ())
-    else None
-  in
+  let dead = Mm_intf.Dead.create cfg.threads in
   {
     cfg;
     backend;
     arena;
     ctr;
-    (* the single Treiber head is the scheme's one global hot word;
-       under the sharded store it is unused and stays null *)
-    hot =
-      Hot.create ~backend ~rep:cfg.rep 1 ~init:(fun _ ->
-          Value.pack_stamped ~stamp:0
-            ~ptr:(if Mm_intf.sharded cfg then Value.null else Value.of_handle 1));
-    store;
+    pool = Mm_intf.pool cfg ~arena ~counters:ctr ~dead;
     work =
       Array.init cfg.threads (fun _ ->
           Array.make (max 64 (4 * (cfg.num_links + 1))) 0);
     scratch =
       Array.init cfg.threads (fun _ -> Array.make (max 1 cfg.num_links) 0);
-    dead = Array.make cfg.threads false;
+    dead;
   }
 
-let declare_dead t ~tid =
-  if tid < 0 || tid >= t.cfg.threads then invalid_arg "Lfrc.declare_dead";
-  t.dead.(tid) <- true
-
-let dead t =
-  let acc = ref [] in
-  for id = t.cfg.threads - 1 downto 0 do
-    if t.dead.(id) then acc := id :: !acc
-  done;
-  !acc
+let declare_dead t ~tid = Mm_intf.Dead.declare t.dead ~who:tid
+let dead t = Mm_intf.Dead.list t.dead
 
 let enter_op _t ~tid:_ = ()
 let exit_op _t ~tid:_ = ()
@@ -150,99 +125,34 @@ and push_collected t ~tid ~k ~collected sp =
     push_collected t ~tid ~k:(k + 1) ~collected
       (work_push t ~tid sp (Value.unmark t.scratch.(tid).(k)))
 
-and free_node t ~tid node =
-  Mm_intf.Events.emit ~tid node Mm_intf.Events.Free;
-  C.incr t.ctr ~tid Free;
-  match t.store with
-  | Some fs ->
-      (* The node was just claimed (mm_ref = 1) and keeps that count
-         throughout its stay in the cache/stripes. *)
-      Freestore.free fs ~tid node
-  | None ->
-      let rec push () =
-        let hv = Hot.read t.hot hw_head in
-        Arena.write_mm_next t.arena node (Value.stamped_ptr hv);
-        let nw =
-          Value.pack_stamped ~stamp:(Value.stamped_stamp hv + 1) ~ptr:node
-        in
-        if not (Hot.cas t.hot hw_head ~old:hv ~nw) then begin
-          C.incr t.ctr ~tid Free_retry;
-          push ()
-        end
-      in
-      push ()
+(* The node was just claimed (mm_ref = 1) and keeps that count
+   throughout its stay in the pool. *)
+and free_node t ~tid node = Pool.push t.pool ~tid node
 
 let alloc t ~tid =
   C.incr t.ctr ~tid Alloc;
-  match t.store with
-  | Some fs ->
-      (* An empty pass is not yet out-of-memory: nodes may be parked
-         in other threads' caches, so retry a bounded number of full
-         passes (same envelope as WFRC's A7 scan limit). The cached
-         node carries mm_ref = 1; FAA (not a store) to 2, because a
-         stale Valois deref may still land a transient +2/-2 pair on
-         it concurrently. *)
-      let limit = (16 * t.cfg.threads) + 16 in
-      let rec claim rounds ~waits ~adopted =
-        match Freestore.alloc fs ~tid with
-        | Some node ->
-            Arena.faa_mm_ref t.arena node 1;
-            Mm_intf.Events.emit ~tid node Mm_intf.Events.Alloc;
-            node
-        | None ->
-            if rounds >= limit then begin
-              (* Bounded wait: before surfacing backpressure, adopt
-                 declared-dead peers' caches once — those nodes are
-                 invisible to the store and generate no wake. Failing
-                 that, a typed [Out_of_nodes] (never an unbounded
-                 park): the caller owns the back-off policy. *)
-              if (not adopted) && Freestore.adopt fs ~tid ~dead:(dead t) > 0
-              then claim 0 ~waits ~adopted:true
-              else begin
-                C.incr t.ctr ~tid Oom_backpressure;
-                raise (Mm_intf.Out_of_nodes { retries = rounds; waits })
-              end
-            end
-            else begin
-              C.incr t.ctr ~tid Alloc_retry;
-              (* Park instead of spinning: a remote free's stripe push
-                 or return-slot install wakes us. Bounded, because
-                 nodes parked in other domains' caches are invisible
-                 to the store and produce no wake. *)
-              Freestore.wait_free fs ~tid ~timeout_ns:200_000;
-              claim (rounds + 1) ~waits:(waits + 1) ~adopted
-            end
-      [@@wfrc.bounded
-        "round counter: rounds advances toward limit at every pass; the \
-         single reset is gated by the one-shot adopted flag, so at most \
-         2*limit rounds before typed Out_of_nodes backpressure"]
-      in
-      claim 0 ~waits:0 ~adopted:false
-  | None ->
-      let rec pop () =
-        let hv = Hot.read t.hot hw_head in
-        let node = Value.stamped_ptr hv in
-        if Value.is_null node then raise Mm_intf.Out_of_memory;
-        (* §3.1: raise the count before reading mm_next so the node
-           cannot be reclaimed (and thus re-pushed with a different
-           next). *)
-        Arena.faa_mm_ref t.arena node 2;
-        let next = Arena.read_mm_next t.arena node in
-        let nw =
-          Value.pack_stamped ~stamp:(Value.stamped_stamp hv + 1) ~ptr:next
-        in
-        if Hot.cas t.hot hw_head ~old:hv ~nw then begin
-          Arena.faa_mm_ref t.arena node (-1);
-          Mm_intf.Events.emit ~tid node Mm_intf.Events.Alloc;
-          node
-        end
-        else begin
-          C.incr t.ctr ~tid Alloc_retry;
-          release t ~tid node;
-          pop ()
-        end
-      in
-      pop ()
+  (* §3.1: a Treiber pop raises the count before reading mm_next, so
+     the node cannot be reclaimed (and thus re-pushed with a different
+     next) under us. *)
+  let pin =
+    {
+      Pool.hold = (fun p -> Arena.faa_mm_ref t.arena p 2);
+      drop = release t ~tid;
+    }
+  in
+  (* Sharded, an empty pass is not yet out-of-memory: nodes may be
+     parked in other threads' caches, so park bounded rounds between
+     passes. *)
+  let node =
+    Pool.claim t.pool ~tid ~pin ~limit:(Pool.park_rounds t.pool)
+      ~between:(fun _ -> Pool.park t.pool ~tid)
+  in
+  (* Down to one reference: from the pin's 3, or from the cached 1 —
+     by FAA, not a store, because a stale Valois deref may still land
+     a transient +2/-2 pair on a cached node. *)
+  Arena.faa_mm_ref t.arena node (if Pool.sharded t.pool then 1 else -1);
+  Mm_intf.Events.emit ~tid node Mm_intf.Events.Alloc;
+  node
 
 (* The Valois de-reference: unbounded retries under contention. *)
 let deref t ~tid link =
@@ -293,80 +203,11 @@ let store_link t ~tid link p =
   if not (Value.is_null old) then release t ~tid old
 let terminate _t ~tid:_ _p = ()
 
-(* Quiescent inspection. *)
-let free_set t =
-  let cap = t.cfg.capacity in
-  let seen = Array.make (cap + 1) false in
-  let record p =
-    let h = Value.handle p in
-    if seen.(h) then failwith "Lfrc: node reachable twice";
-    seen.(h) <- true;
-    let r = Arena.read_mm_ref t.arena p in
-    if r <> 1 then
-      failwith (Printf.sprintf "Lfrc: free node #%d has mm_ref=%d" h r)
-  in
-  (match t.store with
-  | Some fs -> Freestore.iter_free fs ~violation:failwith ~f:record
-  | None ->
-      let rec walk p steps =
-        if steps > cap then failwith "Lfrc: cycle in free-list"
-        else if not (Value.is_null p) then begin
-          record p;
-          walk (Arena.read_mm_next t.arena p) (steps + 1)
-        end
-      in
-      walk (Value.stamped_ptr (Hot.read t.hot hw_head)) 0);
-  seen
-
-let free_count t =
-  let seen = free_set t in
-  let c = ref 0 in
-  Array.iter (fun b -> if b then incr c) seen;
-  !c
-
-(* Tolerant snapshot for the auditor: same walk as [free_set] but
-   damage goes to [violations] instead of raising. The scheme has no
-   per-thread custody (no retired lists, no announcements). *)
-let custody t =
-  let cap = t.cfg.capacity in
-  let free = Array.make (cap + 1) false in
-  let violations = ref [] in
-  let violation s = violations := s :: !violations in
-  let record p =
-    let h = Value.handle p in
-    if free.(h) then
-      violation (Printf.sprintf "node #%d on the free-list twice" h)
-    else free.(h) <- true
-  in
-  (match t.store with
-  | Some fs ->
-      (* Stripe chains, return-buffer slots and per-thread caches are
-         all allocator custody: they count as [free] so the auditor's
-         node partition stays conservative with a populated store. *)
-      Freestore.iter_free fs ~violation ~f:record
-  | None ->
-      let rec walk p steps =
-        if steps > cap then violation "cycle in free-list"
-        else if not (Value.is_null p) then begin
-          let h = Value.handle p in
-          if free.(h) then
-            violation (Printf.sprintf "node #%d on the free-list twice" h)
-          else begin
-            free.(h) <- true;
-            walk (Arena.read_mm_next t.arena p) (steps + 1)
-          end
-        end
-      in
-      walk (Value.stamped_ptr (Hot.read t.hot hw_head)) 0);
-  Mm_intf.
-    {
-      free;
-      pending = [];
-      pinned = [];
-      deferred = [];
-      in_hand = [];
-      violations = List.rev !violations;
-    }
+(* Quiescent inspection. The scheme has no per-thread custody (no
+   retired lists, no announcements): the snapshot is the pool alone. *)
+let custody t = Custody.make ~capacity:t.cfg.capacity (Pool.iter_free t.pool)
+let free_set t = Custody.free_refs ~who:"Lfrc" ~arena:t.arena (custody t)
+let free_count t = Custody.count (free_set t)
 
 (* Crash recovery: the scheme has no announcement/retired custody, so
    recovery is the reference-count anomaly fixpoint (crashed derefs
@@ -382,36 +223,19 @@ let revive t ~tid node =
   free_node t ~tid node
 
 let recover t ~tid =
-  if not (Array.exists Fun.id t.dead) then Mm_intf.no_recovery
+  if not (Mm_intf.Dead.any t.dead) then Mm_intf.no_recovery
   else begin
     let revived, drops =
-      Mm_intf.Rc_anomaly.run ~arena:t.arena
+      Mm_intf.Rc_anomaly.run ~arena:t.arena ~counters:t.ctr ~tid
         ~custody:(fun () -> custody t)
-        ~release:(fun p ->
-          C.incr t.ctr ~tid Recovery_release;
-          release t ~tid p)
-        ~revive:(fun p ->
-          C.incr t.ctr ~tid Recovery_adopt;
-          revive t ~tid p)
+        ~release:(release t ~tid) ~revive:(revive t ~tid)
     in
-    let cached =
-      match t.store with
-      | Some fs -> Freestore.adopt fs ~tid ~dead:(dead t)
-      | None -> 0
-    in
+    let cached = Pool.adopt_dead t.pool ~tid in
     { Mm_intf.adopted = revived + cached; released = drops; cleared = 0 }
   end
 
 let validate t =
-  let seen = free_set t in
-  Arena.iter_nodes t.arena (fun p ->
-      if not seen.(Value.handle p) then begin
-        let r = Arena.read_mm_ref t.arena p in
-        if r < 0 || r land 1 = 1 then
-          failwith
-            (Printf.sprintf "Lfrc: allocated node #%d has bad mm_ref=%d"
-               (Value.handle p) r)
-      end)
+  Custody.allocated_refs ~who:"Lfrc" ~arena:t.arena (free_set t)
 
 (* Sentinels need no special handling under reference counting: the
    creator simply keeps the allocation reference forever. *)

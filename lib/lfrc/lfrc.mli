@@ -8,3 +8,6 @@
     conventions as {!Wfrc}. *)
 
 include Mm_intf.S
+
+val pool : t -> Mm_intf.Pool.t
+(** The instance's free pool, for tests that corrupt it on purpose. *)

@@ -427,11 +427,13 @@ let build_summaries structures =
 
 let dir_of file = Filename.basename (Filename.dirname file)
 
-(* Layers allowed to name the raw shared-memory primitives and the
-   native free store: the managers themselves plus the layers below
-   them. Everything else must go through Mm_intf. *)
+(* Layers allowed to name the raw shared-memory primitives: the
+   managers themselves plus the layers below them. The native free
+   store is one tier lower still: only the shared pool (Mm_intf.Pool)
+   and wfrc's core name it — the baseline managers go through the
+   pool. Everything else must go through Mm_intf. *)
 let primitives_ok = [ "atomics"; "shmem"; "core"; "lfrc"; "hazard"; "epoch"; "lockrc" ]
-let freestore_ok = [ "shmem"; "core"; "lfrc"; "hazard"; "epoch"; "lockrc" ]
+let freestore_ok = [ "shmem"; "core"; "mm_intf" ]
 
 (* The raw unboxed word store is one tier below even the managers:
    only the atomics layer itself, the arena/freestore facades and the

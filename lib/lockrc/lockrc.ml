@@ -12,7 +12,10 @@
    blocking shows up as unbounded victim step counts in E2.
 
    Reference-count conventions match [Wfrc]: two units per reference,
-   free nodes carry mm_ref = 1. *)
+   free nodes carry mm_ref = 1. The free pool is the shared one
+   ({!Mm_intf.Pool}) in its [locked] shape: every access already runs
+   under the lock, so the head is read and written plainly, never
+   CASed. *)
 
 module P = Atomics.Primitives
 module B = Atomics.Backend
@@ -21,7 +24,8 @@ module Park = Atomics.Park
 module Value = Shmem.Value
 module Layout = Shmem.Layout
 module Arena = Shmem.Arena
-module Freestore = Shmem.Freestore
+module Pool = Mm_intf.Pool
+module Custody = Mm_intf.Custody
 
 type t = {
   cfg : Mm_intf.config;
@@ -30,9 +34,8 @@ type t = {
   ctr : C.t;
   lock : P.cell;
   park : Park.t; (* parking spot for lock waiters (Native only) *)
-  free_head : P.cell;
-  store : Freestore.t option; (* sharded Native free store (else legacy) *)
-  dead : bool array; (* tids declared permanently stopped *)
+  pool : Pool.t;
+  dead : Mm_intf.Dead.t;
 }
 
 let name = "lockrc"
@@ -40,6 +43,7 @@ let refcounted = true
 let config t = t.cfg
 let arena t = t.arena
 let counters t = t.ctr
+let pool t = t.pool
 
 let create (cfg : Mm_intf.config) =
   let backend = cfg.backend in
@@ -50,20 +54,11 @@ let create (cfg : Mm_intf.config) =
     Arena.create ~backend ~rep:cfg.rep ~layout ~capacity:cfg.capacity
       ~num_roots:cfg.num_roots ()
   in
-  for h = 1 to cfg.capacity do
-    let p = Value.of_handle h in
-    Arena.write_mm_next arena p
-      (if h < cfg.capacity then Value.of_handle (h + 1) else Value.null);
-    Arena.write arena (Arena.mm_ref_addr arena p) 1
-  done;
+  (* every node starts free, claimed by the allocator (mm_ref = 1) *)
+  Arena.iter_nodes arena (fun p ->
+      Arena.write arena (Arena.mm_ref_addr arena p) 1);
   let ctr = C.create ~backend ~threads:cfg.threads () in
-  let store =
-    if Mm_intf.sharded cfg then
-      Some
-        (Freestore.create ~backend ~rep:cfg.rep ~arena ~counters:ctr
-           ~shards:cfg.shards ~batch:cfg.batch ~threads:cfg.threads ())
-    else None
-  in
+  let dead = Mm_intf.Dead.create cfg.threads in
   {
     cfg;
     backend;
@@ -73,23 +68,12 @@ let create (cfg : Mm_intf.config) =
        on separate padded lines so the spin does not slow the holder *)
     lock = B.make_contended backend 0;
     park = Park.create ();
-    free_head =
-      B.make_contended backend
-        (if store = None then Value.of_handle 1 else Value.null);
-    store;
-    dead = Array.make cfg.threads false;
+    pool = Mm_intf.pool ~locked:true cfg ~arena ~counters:ctr ~dead;
+    dead;
   }
 
-let declare_dead t ~tid =
-  if tid < 0 || tid >= t.cfg.threads then invalid_arg "Lockrc.declare_dead";
-  t.dead.(tid) <- true
-
-let dead t =
-  let acc = ref [] in
-  for id = t.cfg.threads - 1 downto 0 do
-    if t.dead.(id) then acc := id :: !acc
-  done;
-  !acc
+let declare_dead t ~tid = Mm_intf.Dead.declare t.dead ~who:tid
+let dead t = Mm_intf.Dead.list t.dead
 
 (* Release the lock and deliver a wake to any parked waiter. Under
    [Sim] nobody ever parks (the backoff arm is a scheduling point), so
@@ -143,13 +127,7 @@ let reclaim t ~tid node0 =
         if not (Value.is_null v) then held := Value.unmark v :: !held
       done;
       C.incr t.ctr ~tid Node_reclaimed;
-      Mm_intf.Events.emit ~tid node Mm_intf.Events.Free;
-      C.incr t.ctr ~tid Free;
-      (match t.store with
-      | Some fs -> Freestore.free fs ~tid node
-      | None ->
-          Arena.write_mm_next t.arena node (B.read t.backend t.free_head);
-          B.write t.backend t.free_head node);
+      Pool.push t.pool ~tid node;
       List.iter drop !held
     end
   in
@@ -161,44 +139,15 @@ let release t ~tid p =
     with_lock t ~tid (fun () -> reclaim t ~tid (Value.unmark p))
   end
 
+(* Every pool operation runs under the one lock, so one pass is
+   conclusive: nobody can free concurrently. *)
 let alloc t ~tid =
   C.incr t.ctr ~tid Alloc;
   with_lock t ~tid (fun () ->
-      match t.store with
-      | Some fs -> begin
-          (* Every store operation runs under the one lock, so one
-             full pass is conclusive: nobody can free concurrently.
-             One more pass is owed after adopting declared-dead peers'
-             caches; failing that, typed backpressure. *)
-          let claim () =
-            match Freestore.alloc fs ~tid with
-            | Some node ->
-                Arena.write t.arena (Arena.mm_ref_addr t.arena node) 2;
-                Mm_intf.Events.emit ~tid node Mm_intf.Events.Alloc;
-                Some node
-            | None -> None
-          in
-          match claim () with
-          | Some node -> node
-          | None ->
-              if Freestore.adopt fs ~tid ~dead:(dead t) > 0 then
-                match claim () with
-                | Some node -> node
-                | None ->
-                    C.incr t.ctr ~tid Oom_backpressure;
-                    raise (Mm_intf.Out_of_nodes { retries = 2; waits = 0 })
-              else begin
-                C.incr t.ctr ~tid Oom_backpressure;
-                raise (Mm_intf.Out_of_nodes { retries = 1; waits = 0 })
-              end
-        end
-      | None ->
-          let node = B.read t.backend t.free_head in
-          if Value.is_null node then raise Mm_intf.Out_of_memory;
-          B.write t.backend t.free_head (Arena.read_mm_next t.arena node);
-          Arena.write t.arena (Arena.mm_ref_addr t.arena node) 2;
-          Mm_intf.Events.emit ~tid node Mm_intf.Events.Alloc;
-          node)
+      let node = Pool.claim t.pool ~tid ~limit:0 ~between:ignore in
+      Arena.write t.arena (Arena.mm_ref_addr t.arena node) 2;
+      Mm_intf.Events.emit ~tid node Mm_intf.Events.Alloc;
+      node)
 
 let deref t ~tid link =
   C.incr t.ctr ~tid Deref;
@@ -235,82 +184,17 @@ let store_link t ~tid link p =
       if not (Value.is_null old) then reclaim t ~tid (Value.unmark old))
 let terminate _t ~tid:_ _p = ()
 
-(* Quiescent inspection (same shape as the other RC schemes). *)
-let free_set t =
-  let cap = t.cfg.capacity in
-  let seen = Array.make (cap + 1) false in
-  let record p =
-    let h = Value.handle p in
-    if seen.(h) then failwith "Lockrc: node reachable twice";
-    seen.(h) <- true;
-    let r = Arena.read_mm_ref t.arena p in
-    if r <> 1 then
-      failwith (Printf.sprintf "Lockrc: free node #%d has mm_ref=%d" h r)
-  in
-  (match t.store with
-  | Some fs -> Freestore.iter_free fs ~violation:failwith ~f:record
-  | None ->
-      let rec walk p steps =
-        if steps > cap then failwith "Lockrc: cycle in free-list"
-        else if not (Value.is_null p) then begin
-          record p;
-          walk (Arena.read_mm_next t.arena p) (steps + 1)
-        end
-      in
-      walk (B.read t.backend t.free_head) 0);
-  seen
-
-let free_count t =
-  let seen = free_set t in
-  let c = ref 0 in
-  Array.iter (fun b -> if b then incr c) seen;
-  !c
-
-(* Tolerant snapshot for the auditor. A crashed thread may have died
-   holding the lock; that is a liveness disaster for survivors but not
-   custody of any node, so it surfaces as a violation string only. *)
+(* Quiescent inspection. A crashed thread may have died holding the
+   lock; that is a liveness disaster for survivors but not custody of
+   any node, so it surfaces as a violation string only. *)
 let custody t =
-  let cap = t.cfg.capacity in
-  let free = Array.make (cap + 1) false in
-  let violations = ref [] in
-  if B.read t.backend t.lock <> 0 then
-    violations := "lock held at quiescence" :: !violations;
-  (match t.store with
-  | Some fs ->
-      (* Stripe chains, return buffers and caches are all [free]
-         custody for the auditor's partition. *)
-      Freestore.iter_free fs
-        ~violation:(fun s -> violations := s :: !violations)
-        ~f:(fun p ->
-          let h = Value.handle p in
-          if free.(h) then
-            violations :=
-              Printf.sprintf "node #%d on the free-list twice" h :: !violations
-          else free.(h) <- true)
-  | None ->
-      let rec walk p steps =
-        if steps > cap then violations := "cycle in free-list" :: !violations
-        else if not (Value.is_null p) then begin
-          let h = Value.handle p in
-          if free.(h) then
-            violations :=
-              Printf.sprintf "node #%d on the free-list twice" h :: !violations
-          else begin
-            free.(h) <- true;
-            walk (Arena.read_mm_next t.arena p) (steps + 1)
-          end
-        end
-      in
-      walk (B.read t.backend t.free_head) 0);
-  Mm_intf.
-    {
-      free;
-      pending = [];
-      pinned = [];
-      deferred = [];
-      in_hand = [];
-      violations = List.rev !violations;
-    }
+  Custody.make ~capacity:t.cfg.capacity (Pool.iter_free t.pool)
+    ~violations:
+      (if B.read t.backend t.lock <> 0 then [ "lock held at quiescence" ]
+       else [])
+
+let free_set t = Custody.free_refs ~who:"Lockrc" ~arena:t.arena (custody t)
+let free_count t = Custody.count (free_set t)
 
 (* Crash recovery. Finish the free a crashed holder never completed:
    clear the links (dropping their targets' shares through [reclaim]),
@@ -325,16 +209,10 @@ let revive t ~tid node =
       done;
       Arena.write t.arena (Arena.mm_ref_addr t.arena node) 1;
       C.incr t.ctr ~tid Node_reclaimed;
-      Mm_intf.Events.emit ~tid node Mm_intf.Events.Free;
-      C.incr t.ctr ~tid Free;
-      match t.store with
-      | Some fs -> Freestore.free fs ~tid node
-      | None ->
-          Arena.write_mm_next t.arena node (B.read t.backend t.free_head);
-          B.write t.backend t.free_head node)
+      Pool.push t.pool ~tid node)
 
 let recover t ~tid =
-  if not (Array.exists Fun.id t.dead) then Mm_intf.no_recovery
+  if not (Mm_intf.Dead.any t.dead) then Mm_intf.no_recovery
   else begin
     let cleared = ref 0 in
     (* At quiescence, with the survivors drained, a non-zero lock word
@@ -347,35 +225,17 @@ let recover t ~tid =
       incr cleared
     end;
     let revived, drops =
-      Mm_intf.Rc_anomaly.run ~arena:t.arena
+      Mm_intf.Rc_anomaly.run ~arena:t.arena ~counters:t.ctr ~tid
         ~custody:(fun () -> custody t)
-        ~release:(fun p ->
-          C.incr t.ctr ~tid Recovery_release;
-          release t ~tid p)
-        ~revive:(fun p ->
-          C.incr t.ctr ~tid Recovery_adopt;
-          revive t ~tid p)
+        ~release:(release t ~tid) ~revive:(revive t ~tid)
     in
-    let cached =
-      match t.store with
-      | Some fs -> Freestore.adopt fs ~tid ~dead:(dead t)
-      | None -> 0
-    in
+    let cached = Pool.adopt_dead t.pool ~tid in
     { Mm_intf.adopted = revived + cached; released = drops; cleared = !cleared }
   end
 
+(* A lock held at quiescence fails through [custody]'s violation. *)
 let validate t =
-  if B.read t.backend t.lock <> 0 then
-    failwith "Lockrc: lock held at quiescence";
-  let seen = free_set t in
-  Arena.iter_nodes t.arena (fun p ->
-      if not seen.(Value.handle p) then begin
-        let r = Arena.read_mm_ref t.arena p in
-        if r < 0 || r land 1 = 1 then
-          failwith
-            (Printf.sprintf "Lockrc: allocated node #%d has bad mm_ref=%d"
-               (Value.handle p) r)
-      end)
+  Custody.allocated_refs ~who:"Lockrc" ~arena:t.arena (free_set t)
 
 (* Sentinels need no special handling under reference counting: the
    creator simply keeps the allocation reference forever. *)

@@ -6,3 +6,6 @@
     so the scheme also runs under the deterministic scheduler. *)
 
 include Mm_intf.S
+
+val pool : t -> Mm_intf.Pool.t
+(** The instance's free pool, for tests that corrupt it on purpose. *)

@@ -16,16 +16,17 @@
    Pointers may carry deletion-mark bits (as in the skiplist of [18]);
    managers ignore marks and operate on the underlying node. *)
 
-exception Out_of_memory
+exception Out_of_memory = Pool.Out_of_memory
 (* Raised by [alloc] when the free-list is exhausted (paper fn. 4). *)
 
-exception Out_of_nodes of { retries : int; waits : int }
+exception Out_of_nodes = Pool.Out_of_nodes
 (* Typed backpressure from the bounded-wait allocation path: the free
-   store stayed empty through [retries] scan rounds and [waits]
-   timed-out parks, a recovery attempt for declared-dead holders was
-   made, and the caller should back off / shed load rather than block.
-   Distinct from {!Out_of_memory}, which is the Sim/legacy hard
-   exhaustion signal with unchanged semantics. *)
+   store stayed empty through [retries] passes, with [waits] rounds of
+   the scheme's between-pass work (parks, scans, epoch advances) in
+   between; a recovery attempt for declared-dead holders was made, and
+   the caller should back off / shed load rather than block. Distinct
+   from {!Out_of_memory}, which is the Sim/legacy hard exhaustion
+   signal with unchanged semantics. *)
 
 type config = {
   threads : int;      (* fixed number of participating threads (N) *)
@@ -99,44 +100,21 @@ let config ?(num_links = 0) ?(num_data = 0) ?(num_roots = 0)
 let sharded cfg =
   cfg.backend = Atomics.Backend.Native && (cfg.shards > 1 || cfg.batch > 1)
 
-(* Node lifecycle events. Every manager reports the three custody
-   transitions the reclamation-safety oracle (Analysis.Reclaim) needs:
+(* Node lifecycle events (Alloc / Free / Retire); see events.ml. *)
+module Events = Events
 
-     Alloc  — the node left allocator custody: [alloc] is handing it
-              to the caller (emitted after the manager has claimed it);
-     Free   — the node entered allocator custody: the scheme decided
-              its count/grace period allows reuse (emitted before it
-              is pushed on any free store);
-     Retire — the client promised the node unreachable ([terminate]
-              under HP/EBR): not yet reusable, but no longer part of
-              the structure.
+(* The declared-dead set and the shared free pool; see dead.ml and
+   pool.ml. *)
+module Dead = Dead
+module Pool = Pool
 
-   The listener is a process-global hook in the style of
-   [Atomics.Schedpoint]: a named no-op closure by default, so the cost
-   with no listener installed is one indirect call per alloc/free —
-   nothing on any per-word path — and installation is detectable by
-   physical equality. Listeners are installed only by Sim-side
-   analysis; emission is unconditional but carries no shared state, so
-   Native multi-domain runs just pay the no-op call. *)
-module Events = struct
-  type lifecycle = Alloc | Free | Retire
-
-  let lifecycle_name = function
-    | Alloc -> "alloc"
-    | Free -> "free"
-    | Retire -> "retire"
-
-  let no_listener ~tid:(_ : int) (_ : Shmem.Value.ptr) (_ : lifecycle) = ()
-  let listener = ref no_listener
-  let emit ~tid node lc = !listener ~tid node lc
-
-  let with_listener f body =
-    let saved = !listener in
-    listener := f;
-    Fun.protect ~finally:(fun () -> listener := saved) body
-
-  let installed () = !listener != no_listener
-end
+(* The pool a config asks for: a Freestore when [sharded], else one
+   head — stamped, or plain under the caller's lock when [locked]. *)
+let pool ?locked cfg ~arena ~counters ~dead =
+  Pool.create ?locked ~backend:cfg.backend ~rep:cfg.rep ~arena ~counters ~dead
+    ~stripes:
+      (if sharded cfg then Some (cfg.shards, cfg.batch, cfg.threads) else None)
+    ()
 
 (* Fault-tolerant accounting snapshot for the post-run auditor
    (Harness.Audit). Unlike [validate]/[free_count] the [custody]
@@ -208,11 +186,107 @@ module Hand = struct
     h.n <- 0;
     h.batch <- []
 
-  let iter h f =
-    for i = max 0 (h.n - ring) to h.n - 1 do
-      f h.held.(i land (ring - 1))
-    done;
-    List.iter f h.batch
+  let to_list h =
+    List.init (min h.n ring) (fun i -> h.held.((h.n - 1 - i) land (ring - 1)))
+    @ h.batch
+end
+
+(* Building and reading custody snapshots. [make] assembles the record
+   from an iterator over the free pool (typically {!Pool.iter_free})
+   and [(tid, node)] lists that default to empty, and runs the checks
+   every scheme shares: a node twice in the pool, a pending node that
+   is also free or pending twice, a deferred decrement on a free node.
+   A manager only says where its nodes are. The readers below are the
+   raising, quiescent view [validate] and [free_count] take. *)
+module Custody = struct
+  module Value = Shmem.Value
+  module Arena = Shmem.Arena
+
+  (* [(tid, node)] entries from a per-thread array. *)
+  let per_thread threads f =
+    List.concat
+      (List.mapi
+         (fun tid x -> List.map (fun p -> (tid, p)) (f x))
+         (Array.to_list threads))
+
+  let make ~capacity ?(pending = []) ?(pinned = []) ?(deferred = [])
+      ?(in_hand = []) ?(violations = []) iter_free =
+    let found = ref [] in
+    let violation fmt =
+      Printf.ksprintf (fun s -> found := s :: !found) fmt
+    in
+    let free = Array.make (capacity + 1) false in
+    iter_free ~violation:(violation "%s") ~f:(fun p ->
+        let h = Value.handle p in
+        if free.(h) then violation "node #%d in the pool twice" h
+        else free.(h) <- true);
+    let handles = List.map (fun (tid, p) -> (tid, Value.handle p)) in
+    let parked = Array.make (capacity + 1) false in
+    let pending = handles pending in
+    List.iter
+      (fun (tid, h) ->
+        if free.(h) then
+          violation "node #%d pending under thread %d is also in the pool" h
+            tid
+        else if parked.(h) then violation "node #%d pending twice" h;
+        parked.(h) <- true)
+      pending;
+    let deferred = handles deferred in
+    List.iter
+      (fun (tid, h) ->
+        if h >= 1 && h <= capacity && free.(h) then
+          violation "rc buffer[%d] entry #%d is in the pool" tid h)
+      deferred;
+    {
+      free;
+      pending;
+      pinned = handles pinned;
+      deferred;
+      in_hand = handles in_hand;
+      violations = violations @ List.rev !found;
+    }
+
+  (* Fails on the first violation; otherwise the table of nodes in
+     allocator custody, free or pending. *)
+  let strict ~who c =
+    (match c.violations with v :: _ -> failwith (who ^ ": " ^ v) | [] -> ());
+    let s = Array.copy c.free in
+    List.iter (fun (_, h) -> s.(h) <- true) c.pending;
+    s
+
+  let count s = Array.fold_left (fun n b -> if b then n + 1 else n) 0 s
+
+  (* [strict] for the reference-counting schemes, which also hold
+     every node in allocator custody at mm_ref = 1 ([pending_ref] for
+     a pending one: wfrc's donations carry the F3 inflation). *)
+  let free_refs ~who ~arena ?(pending_ref = 1) c =
+    let s = strict ~who c in
+    let pend = Array.make (Array.length s) false in
+    List.iter (fun (_, h) -> pend.(h) <- true) c.pending;
+    Array.iteri
+      (fun h free ->
+        if free then begin
+          let r = Arena.read_mm_ref arena (Value.of_handle h) in
+          let want = if pend.(h) then pending_ref else 1 in
+          if r <> want then
+            failwith
+              (Printf.sprintf "%s: free node #%d has mm_ref=%d, expected %d"
+                 who h r want)
+        end)
+      s;
+    s
+
+  (* Every node outside [free_set] carries an even, non-negative
+     count. *)
+  let allocated_refs ~who ~arena free_set =
+    Arena.iter_nodes arena (fun p ->
+        if not free_set.(Value.handle p) then begin
+          let r = Arena.read_mm_ref arena p in
+          if r < 0 || r land 1 = 1 then
+            failwith
+              (Printf.sprintf "%s: allocated node #%d has bad mm_ref=%d" who
+                 (Value.handle p) r)
+        end)
 end
 
 (* What one recovery pass over the declared-dead set accomplished.
@@ -321,8 +395,9 @@ module Rc_anomaly = struct
 
   (* Drive to the fixpoint. [custody] must re-snapshot (the free set
      moves under the cascades); [release]/[revive] are the scheme's
-     callbacks. Returns [(revived, releases)]. *)
-  let run ~arena ~custody ~release ~revive =
+     callbacks, each counted as a [Recovery_release]/[Recovery_adopt]
+     event for [tid]. Returns [(revived, releases)]. *)
+  let run ~arena ~counters ~tid ~custody ~release ~revive =
     let cap = Arena.capacity arena in
     let budget = ref ((4 * cap) + 16) in
     let revived = ref 0 and releases = ref 0 in
@@ -338,9 +413,11 @@ module Rc_anomaly = struct
       | None -> continue_ := false
       | Some (Drop_excess p) ->
           incr releases;
+          Atomics.Counters.incr counters ~tid Recovery_release;
           release p
       | Some (Revive p) ->
           incr revived;
+          Atomics.Counters.incr counters ~tid Recovery_adopt;
           revive p
     done;
     (!revived, !releases)
@@ -352,19 +429,21 @@ end
    count — carrying no anomaly that could flag it: normal operation
    can never reclaim it. At recovery time the premises are exactly
    the auditor's (quiescent instance, survivors drained, dead
-   declared), so any node that is neither free, nor reachable from
-   the roots, nor claimed by [keep] (retired lists, limbo bags,
-   published pins) is unreclaimable garbage the adopter may free.
-   [sweep] marks from the roots and hands each such node to
-   [reclaim]; returns how many it freed. *)
+   declared), so any node of snapshot [c] that is neither free, nor
+   reachable from the roots, nor pending or pinned (retired lists,
+   limbo bags, published hazards) is unreclaimable garbage the
+   adopter may free. [sweep] marks from the roots and hands each such
+   node to [reclaim]; returns how many it freed. *)
 module Orphan = struct
   module Value = Shmem.Value
   module Arena = Shmem.Arena
 
-  let sweep ~arena ~free ~keep ~reclaim =
+  let sweep ~arena (c : custody) ~reclaim =
     let cap = Arena.capacity arena in
     let num_links = Shmem.Layout.num_links (Arena.layout arena) in
-    let is_free h = h >= 1 && h <= cap && free.(h) in
+    let is_free h = h >= 1 && h <= cap && c.free.(h) in
+    let keep = Array.make (cap + 1) false in
+    List.iter (fun (_, h) -> keep.(h) <- true) (c.pending @ c.pinned);
     let reach = Array.make (cap + 1) false in
     let rec visit h =
       if h >= 1 && h <= cap && (not (is_free h)) && not reach.(h) then begin
@@ -382,7 +461,7 @@ module Orphan = struct
     done;
     let n = ref 0 in
     for h = 1 to cap do
-      if (not (is_free h)) && (not reach.(h)) && not (keep h) then begin
+      if (not (is_free h)) && (not reach.(h)) && not keep.(h) then begin
         incr n;
         reclaim (Value.of_handle h)
       end

@@ -325,12 +325,10 @@ let any_visible t =
   heads 0 || bufs 0 0
 
 let wait_free t ~tid ~timeout_ns =
-  let gen = Park.prepare t.park in
-  if any_visible t then Park.cancel t.park
-  else begin
-    C.incr t.ctr ~tid Park_wait;
-    Park.park t.park ~gen ~timeout_ns
-  end
+  Park.await t.park
+    ~ready:(fun () -> any_visible t)
+    ~timeout_ns
+    ~on_park:(fun () -> C.incr t.ctr ~tid Park_wait)
 
 let waiters t = Park.waiters t.park
 

@@ -7,6 +7,47 @@ module Arena = Shmem.Arena
 let tc name fn = Alcotest.test_case name `Quick fn
 let tc_slow name fn = Alcotest.test_case name `Slow fn
 
+(* The process's own stderr, taken before alcotest redirects each
+   test's output into its log file: a deadline diagnostic must reach
+   the console even when the test never returns to be reported. *)
+let console = Unix.dup Unix.stderr
+
+(* Run [f] under a deadline. One watchdog domain per call (not per
+   worker domain) polls a done flag; if [f] has not returned after
+   [seconds], it prints [name] and exits the whole run non-zero, so a
+   hang fails with a diagnostic instead of stalling until the CI
+   job's timeout. The watchdog sleeps in [Unix.sleepf], outside the
+   runtime lock, so it never delays the workers' stop-the-world
+   collections. *)
+let with_deadline ~seconds name f =
+  let finished = Atomic.make false in
+  let watchdog =
+    Domain.spawn (fun () ->
+        let deadline = Unix.gettimeofday () +. seconds in
+        while not (Atomic.get finished) do
+          if Unix.gettimeofday () > deadline then begin
+            let msg =
+              Printf.sprintf "DEADLINE: %s did not finish within %.0f s\n"
+                name seconds
+            in
+            ignore (Unix.write_substring console msg 0 (String.length msg));
+            Unix._exit 124
+          end;
+          Unix.sleepf 0.05
+        done)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set finished true;
+      Domain.join watchdog)
+    f
+
+(* A test case whose body spawns domains, run under {!with_deadline}.
+   The default budget is far above any such test's normal running
+   time, sanitizer builds included. *)
+let tc_domains ?(seconds = 300.) name fn =
+  tc name (fun () -> with_deadline ~seconds name fn)
+
 (* QCheck_alcotest tags everything `Slow; re-tag as `Quick so the
    property tests run in every `dune runtest`. *)
 let qc ?(count = 200) name gen prop =

@@ -331,7 +331,7 @@ let freestore_custody_tests =
    push must wake the parker. *)
 let park_wake_tests =
   [
-    tc "a parked thread is woken by a remote free" (fun () ->
+    tc_domains "a parked thread is woken by a remote free" (fun () ->
         let backend = B.Native in
         let layout = Shmem.Layout.create ~num_links:1 ~num_data:1 in
         let arena = Arena.create ~backend ~layout ~capacity:8 ~num_roots:0 () in

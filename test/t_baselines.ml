@@ -384,6 +384,103 @@ let lockrc_tests =
         Mm.validate mm);
   ]
 
+(* ---- pool parity: every baseline on the shared Mm_intf.Pool ---- *)
+
+(* The four baselines allocate through one pool; on each backend they
+   must keep the parent behaviour: the single head exhausts with
+   [Out_of_memory], the sharded store ([shards:2 batch:4]) with typed
+   [Out_of_nodes]; everything released (or retired and collected)
+   comes back; and a node pushed twice into the pool is a custody
+   violation that [validate] raises on. *)
+
+let with_pool scheme cfg =
+  match scheme with
+  | "hp" ->
+      let t = Hazard.create cfg in
+      (Hazard.pool t, (fun () -> Hazard.validate t), fun () -> Hazard.custody t)
+  | "ebr" ->
+      let t = Epoch.create cfg in
+      (Epoch.pool t, (fun () -> Epoch.validate t), fun () -> Epoch.custody t)
+  | "lfrc" ->
+      let t = Lfrc.create cfg in
+      (Lfrc.pool t, (fun () -> Lfrc.validate t), fun () -> Lfrc.custody t)
+  | "lockrc" ->
+      let t = Lockrc.create cfg in
+      (Lockrc.pool t, (fun () -> Lockrc.validate t), fun () -> Lockrc.custody t)
+  | s -> invalid_arg s
+
+let pool_parity_tests scheme backend =
+  let native = backend = Atomics.Backend.Native in
+  let pre name =
+    Printf.sprintf "%s pool: %s" (scheme_label ~backend scheme) name
+  in
+  let capacity = 12 in
+  let cfg () =
+    if native then
+      Mm.config ~backend ~shards:2 ~batch:4 ~threads:2 ~capacity ~num_links:1
+        ~num_data:1 ~num_roots:2 ()
+    else small_cfg ~capacity ()
+  in
+  [
+    tc
+      (pre
+         (if native then "exhaustion raises Out_of_nodes"
+          else "exhaustion raises Out_of_memory"))
+      (fun () ->
+        let mm = mm_of scheme (cfg ()) in
+        let held = ref [] in
+        let raised =
+          try
+            for _ = 1 to capacity + 1 do
+              held := Mm.alloc mm ~tid:0 :: !held
+            done;
+            "nothing"
+          with
+          | Mm.Out_of_memory -> "Out_of_memory"
+          | Mm.Out_of_nodes _ -> "Out_of_nodes"
+        in
+        check_string "exhaustion signal"
+          (if native then "Out_of_nodes" else "Out_of_memory")
+          raised;
+        check_int "every node was handed out" capacity (List.length !held);
+        List.iter
+          (fun p ->
+            Mm.release mm ~tid:0 p;
+            Mm.terminate mm ~tid:0 p)
+          !held;
+        (* ebr recycles only after two epoch advances: run empty
+           brackets first, then churn on — hp scans its retired list
+           past the threshold, ebr collects its bags *)
+        for _ = 1 to 50 do
+          Mm.enter_op mm ~tid:0;
+          Mm.exit_op mm ~tid:0
+        done;
+        for _ = 1 to 8 do
+          Mm.enter_op mm ~tid:0;
+          let p = Mm.alloc mm ~tid:0 in
+          Mm.release mm ~tid:0 p;
+          Mm.terminate mm ~tid:0 p;
+          Mm.exit_op mm ~tid:0
+        done;
+        assert_all_free mm);
+    tc (pre "a node pushed twice is a custody violation") (fun () ->
+        let pool, validate, custody = with_pool scheme (cfg ()) in
+        validate ();
+        let p = Mm.Pool.pop pool ~tid:0 in
+        check_bool "popped a node" false (Value.is_null p);
+        Mm.Pool.push pool ~tid:0 p;
+        Mm.Pool.push pool ~tid:0 p;
+        check_bool "custody reports it" true ((custody ()).Mm.violations <> []);
+        fails_with validate);
+  ]
+
+let pool_parity =
+  List.concat_map
+    (fun scheme ->
+      List.concat_map (pool_parity_tests scheme)
+        [ Atomics.Backend.Sim; Atomics.Backend.Native ])
+    [ "lfrc"; "hp"; "ebr"; "lockrc" ]
+
 let suite =
   List.concat_map contract_tests [ "lfrc"; "hp"; "ebr"; "lockrc" ]
-  @ lfrc_tests @ hazard_tests @ epoch_tests @ lockrc_tests
+  @ lfrc_tests @ hazard_tests @ epoch_tests @ lockrc_tests @ pool_parity

@@ -470,7 +470,7 @@ let recovery_tests =
         done;
         check_bool "at least one victim died holding the lock" true
           !any_cleared);
-    tc "native chaos: mid-fragment crash on Domains, then adoption"
+    tc_domains "native chaos: mid-fragment crash on Domains, then adoption"
       (fun () ->
         let cfg =
           Mm.config ~backend:Atomics.Backend.Native ~shards:2 ~batch:2
@@ -552,7 +552,7 @@ let recovery_tests =
         check_bool "grid produced audited runs" true (!audited > 0);
         check_bool "some crashes left entries parked in the rc buffer" true
           (!buffered_at_crash > 0));
-    tc "native chaos: wfrc_deferred crash mid-flush on Domains, then adoption"
+    tc_domains "native chaos: wfrc_deferred crash mid-flush on Domains, then adoption"
       (fun () ->
         (* The Chaos countdown fires at lifecycle-event boundaries, and
            a draining flush emits its Free events back-to-back — so a
@@ -600,7 +600,7 @@ let recovery_tests =
         check_bool
           "some countdown stranded mid-flush decrements for the fixpoint"
           true !any_stranded);
-    tc "native chaos: a stalled thread sleeps through its window and resumes"
+    tc_domains "native chaos: a stalled thread sleeps through its window and resumes"
       (fun () ->
         let cfg =
           Mm.config ~backend:Atomics.Backend.Native ~threads:2 ~capacity:16

@@ -103,7 +103,7 @@ let conc_tests ?backend scheme =
   let pre name = Printf.sprintf "%s: %s" (scheme_label ?backend scheme) name in
   let mk = mk ?backend in
   [
-    tc (pre "parallel disjoint inserts all land") (fun () ->
+    tc_domains (pre "parallel disjoint inserts all land") (fun () ->
         let threads = 4 in
         let mm, m = mk scheme ~threads ~capacity:512 ~buckets:16 () in
         ignore
@@ -115,7 +115,7 @@ let conc_tests ?backend scheme =
         ignore (Hmap.clear m ~tid:0);
         flush mm;
         assert_all_free ~reserved:32 mm);
-    tc (pre "parallel mixed churn stays consistent") (fun () ->
+    tc_domains (pre "parallel mixed churn stays consistent") (fun () ->
         let threads = 4 in
         let mm, m = mk scheme ~threads ~capacity:512 ~buckets:8 () in
         ignore

@@ -94,7 +94,7 @@ let conc_tests ?backend scheme =
   let pre name = Printf.sprintf "%s: %s" (scheme_label ?backend scheme) name in
   let mk = mk ?backend in
   [
-    tc (pre "disjoint key ranges: all inserts land") (fun () ->
+    tc_domains (pre "disjoint key ranges: all inserts land") (fun () ->
         let threads = 4 in
         let mm, s = mk scheme ~threads ~capacity:256 () in
         ignore
@@ -112,7 +112,7 @@ let conc_tests ?backend scheme =
         ignore (Oset.clear s ~tid:0);
         flush mm;
         assert_all_free ~reserved:2 mm);
-    tc (pre "contended single key: exactly one winner per round") (fun () ->
+    tc_domains (pre "contended single key: exactly one winner per round") (fun () ->
         let threads = 4 in
         let mm, s = mk scheme ~threads ~capacity:64 () in
         let wins = Array.make threads 0 in
@@ -138,7 +138,7 @@ let conc_tests ?backend scheme =
         ignore (Oset.clear s ~tid:0);
         flush mm;
         assert_all_free ~reserved:2 mm);
-    tc (pre "mixed churn conserves memory") (fun () ->
+    tc_domains (pre "mixed churn conserves memory") (fun () ->
         let threads = 4 in
         let mm, s = mk scheme ~threads ~capacity:128 () in
         ignore

@@ -96,6 +96,29 @@ let test_expectations_hold () =
        (fun (file, fn, _) -> basename_is "lfrc.ml" file && fn = "deref")
        r.expectations)
 
+(* The shared free pool: its Treiber pop and push are the baselines'
+   lock-free allocation path (asserted expected-unbounded), while the
+   claim loop around them is bounded by its round counter. *)
+let test_pool_contracts () =
+  with_lib @@ fun lib ->
+  let r = P.analyze ~roots:[ lib ] in
+  let expected fn =
+    List.exists
+      (fun (file, f, ok) -> basename_is "pool.ml" file && f = fn && ok)
+      r.expectations
+  in
+  Alcotest.(check bool) "Pool.pop is expected-unbounded" true (expected "pop");
+  Alcotest.(check bool) "Pool.push is expected-unbounded" true (expected "push");
+  match
+    List.find_opt
+      (fun (c : P.cls) -> basename_is "pool.ml" c.c_file && c.c_func = "claim.go")
+      r.classifications
+  with
+  | None -> Alcotest.fail "pool.ml claim loop not classified"
+  | Some c ->
+      Alcotest.(check string)
+        "claim loop is bounded" "statically-bounded" (P.level_name c.c_level)
+
 (* ---- seeded mutation flips red ------------------------------------ *)
 
 let read_file file =
@@ -317,6 +340,8 @@ let suite =
       test_alloc_loop_is_helping;
     Alcotest.test_case "expect_unbounded assertions hold" `Quick
       test_expectations_hold;
+    Alcotest.test_case "pool pop is expected-unbounded, claim bounded" `Quick
+      test_pool_contracts;
     Alcotest.test_case "seeded helping mutation flips red" `Quick
       test_mutation_flips_red;
     Alcotest.test_case "stable under alpha-rename + let-flatten" `Quick

@@ -72,7 +72,7 @@ let conc_tests ?backend scheme =
   let pre name = Printf.sprintf "%s: %s" (scheme_label ?backend scheme) name in
   let mk = mk ?backend in
   [
-    tc (pre "concurrent conservation") (fun () ->
+    tc_domains (pre "concurrent conservation") (fun () ->
         let threads = 4 in
         let mm, q = mk scheme ~threads ~capacity:128 () in
         let enq = Array.init threads (fun _ -> ref []) in
@@ -105,7 +105,7 @@ let conc_tests ?backend scheme =
           Mm.exit_op mm ~tid:0
         done;
         assert_all_free ~reserved:1 mm);
-    tc (pre "per-producer FIFO preserved under concurrency") (fun () ->
+    tc_domains (pre "per-producer FIFO preserved under concurrency") (fun () ->
         (* values of one producer must be dequeued in their enqueue
            order, whatever interleaving happens *)
         let threads = 3 in

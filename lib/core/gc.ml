@@ -39,7 +39,6 @@ module C = Atomics.Counters
 module Hot = Atomics.Hot
 module Words = Atomics.Words
 module Value = Shmem.Value
-module Layout = Shmem.Layout
 module Arena = Shmem.Arena
 
 (* Ablation knobs (experiments E-A2/E-A3; the defaults are the paper's
@@ -120,13 +119,7 @@ let announcements t = t.ann
 
 let create ?(placement = `Paper) ?(help_alloc = true) (cfg : Mm_intf.config) =
   let backend = cfg.backend in
-  let layout =
-    Layout.create ~num_links:cfg.num_links ~num_data:cfg.num_data
-  in
-  let arena =
-    Arena.create ~backend ~rep:cfg.rep ~layout ~capacity:cfg.capacity
-      ~num_roots:cfg.num_roots ()
-  in
+  let arena = Mm_intf.make_arena cfg in
   (* Initial free state: all nodes chained into freeList[0], each with
      mm_ref = 1 (paper: "Initially 1", interpreted as in Valois — odd
      means claimed-by-allocator, count 0). *)

@@ -21,7 +21,6 @@ module P = Atomics.Primitives
 module B = Atomics.Backend
 module C = Atomics.Counters
 module Value = Shmem.Value
-module Layout = Shmem.Layout
 module Arena = Shmem.Arena
 module Pool = Mm_intf.Pool
 module Custody = Mm_intf.Custody
@@ -57,13 +56,7 @@ let pool t = t.pool
 
 let create (cfg : Mm_intf.config) =
   let backend = cfg.backend in
-  let layout =
-    Layout.create ~num_links:cfg.num_links ~num_data:cfg.num_data
-  in
-  let arena =
-    Arena.create ~backend ~rep:cfg.rep ~layout ~capacity:cfg.capacity
-      ~num_roots:cfg.num_roots ()
-  in
+  let arena = Mm_intf.make_arena cfg in
   let ctr = C.create ~backend ~threads:cfg.threads () in
   let dead = Mm_intf.Dead.create cfg.threads in
   {

@@ -26,7 +26,6 @@ module P = Atomics.Primitives
 module B = Atomics.Backend
 module C = Atomics.Counters
 module Value = Shmem.Value
-module Layout = Shmem.Layout
 module Arena = Shmem.Arena
 module Pool = Mm_intf.Pool
 module Custody = Mm_intf.Custody
@@ -66,13 +65,7 @@ let slots_per_thread t = t.k
 
 let create (cfg : Mm_intf.config) =
   let backend = cfg.backend in
-  let layout =
-    Layout.create ~num_links:cfg.num_links ~num_data:cfg.num_data
-  in
-  let arena =
-    Arena.create ~backend ~rep:cfg.rep ~layout ~capacity:cfg.capacity
-      ~num_roots:cfg.num_roots ()
-  in
+  let arena = Mm_intf.make_arena cfg in
   (* Enough slots for the deepest structure we ship plus slack. *)
   let k = max 16 ((2 * cfg.num_links) + 8) in
   (* Per-thread retirement threshold: bounded both by the classic

@@ -16,17 +16,14 @@
    Reference-count conventions are identical to [Wfrc]: two units per
    reference, odd value = claimed by the allocator. *)
 
-module B = Atomics.Backend
 module C = Atomics.Counters
 module Value = Shmem.Value
-module Layout = Shmem.Layout
 module Arena = Shmem.Arena
 module Pool = Mm_intf.Pool
 module Custody = Mm_intf.Custody
 
 type t = {
   cfg : Mm_intf.config;
-  backend : B.t;
   arena : Arena.t;
   ctr : C.t;
   pool : Pool.t;
@@ -43,22 +40,11 @@ let counters t = t.ctr
 let pool t = t.pool
 
 let create (cfg : Mm_intf.config) =
-  let backend = cfg.backend in
-  let layout =
-    Layout.create ~num_links:cfg.num_links ~num_data:cfg.num_data
-  in
-  let arena =
-    Arena.create ~backend ~rep:cfg.rep ~layout ~capacity:cfg.capacity
-      ~num_roots:cfg.num_roots ()
-  in
-  (* every node starts free, claimed by the allocator (mm_ref = 1) *)
-  Arena.iter_nodes arena (fun p ->
-      Arena.write arena (Arena.mm_ref_addr arena p) 1);
-  let ctr = C.create ~backend ~threads:cfg.threads () in
+  let arena = Mm_intf.make_arena ~claimed:true cfg in
+  let ctr = C.create ~backend:cfg.backend ~threads:cfg.threads () in
   let dead = Mm_intf.Dead.create cfg.threads in
   {
     cfg;
-    backend;
     arena;
     ctr;
     pool = Mm_intf.pool cfg ~arena ~counters:ctr ~dead;

@@ -47,16 +47,7 @@ let pool t = t.pool
 
 let create (cfg : Mm_intf.config) =
   let backend = cfg.backend in
-  let layout =
-    Layout.create ~num_links:cfg.num_links ~num_data:cfg.num_data
-  in
-  let arena =
-    Arena.create ~backend ~rep:cfg.rep ~layout ~capacity:cfg.capacity
-      ~num_roots:cfg.num_roots ()
-  in
-  (* every node starts free, claimed by the allocator (mm_ref = 1) *)
-  Arena.iter_nodes arena (fun p ->
-      Arena.write arena (Arena.mm_ref_addr arena p) 1);
+  let arena = Mm_intf.make_arena ~claimed:true cfg in
   let ctr = C.create ~backend ~threads:cfg.threads () in
   let dead = Mm_intf.Dead.create cfg.threads in
   {

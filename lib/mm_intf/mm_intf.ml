@@ -100,6 +100,22 @@ let config ?(num_links = 0) ?(num_data = 0) ?(num_roots = 0)
 let sharded cfg =
   cfg.backend = Atomics.Backend.Native && (cfg.shards > 1 || cfg.batch > 1)
 
+(* The arena a config describes. With [claimed] every node starts at
+   mm_ref = 1, the reference-counting schemes' "free, claimed by the
+   allocator" value. *)
+let make_arena ?(claimed = false) cfg =
+  let layout =
+    Shmem.Layout.create ~num_links:cfg.num_links ~num_data:cfg.num_data
+  in
+  let arena =
+    Shmem.Arena.create ~backend:cfg.backend ~rep:cfg.rep ~layout
+      ~capacity:cfg.capacity ~num_roots:cfg.num_roots ()
+  in
+  if claimed then
+    Shmem.Arena.iter_nodes arena (fun p ->
+        Shmem.Arena.write arena (Shmem.Arena.mm_ref_addr arena p) 1);
+  arena
+
 (* Node lifecycle events (Alloc / Free / Retire); see events.ml. *)
 module Events = Events
 
@@ -221,15 +237,15 @@ module Custody = struct
         if free.(h) then violation "node #%d in the pool twice" h
         else free.(h) <- true);
     let handles = List.map (fun (tid, p) -> (tid, Value.handle p)) in
-    let parked = Array.make (capacity + 1) false in
     let pending = handles pending in
+    let parked = Hashtbl.create 16 in
     List.iter
       (fun (tid, h) ->
         if free.(h) then
           violation "node #%d pending under thread %d is also in the pool" h
             tid
-        else if parked.(h) then violation "node #%d pending twice" h;
-        parked.(h) <- true)
+        else if Hashtbl.mem parked h then violation "node #%d pending twice" h;
+        Hashtbl.replace parked h ())
       pending;
     let deferred = handles deferred in
     List.iter
@@ -250,9 +266,12 @@ module Custody = struct
      allocator custody, free or pending. *)
   let strict ~who c =
     (match c.violations with v :: _ -> failwith (who ^ ": " ^ v) | [] -> ());
-    let s = Array.copy c.free in
-    List.iter (fun (_, h) -> s.(h) <- true) c.pending;
-    s
+    if c.pending = [] then c.free
+    else begin
+      let s = Array.copy c.free in
+      List.iter (fun (_, h) -> s.(h) <- true) c.pending;
+      s
+    end
 
   let count s = Array.fold_left (fun n b -> if b then n + 1 else n) 0 s
 
@@ -261,19 +280,15 @@ module Custody = struct
      a pending one: wfrc's donations carry the F3 inflation). *)
   let free_refs ~who ~arena ?(pending_ref = 1) c =
     let s = strict ~who c in
-    let pend = Array.make (Array.length s) false in
-    List.iter (fun (_, h) -> pend.(h) <- true) c.pending;
-    Array.iteri
-      (fun h free ->
-        if free then begin
-          let r = Arena.read_mm_ref arena (Value.of_handle h) in
-          let want = if pend.(h) then pending_ref else 1 in
-          if r <> want then
-            failwith
-              (Printf.sprintf "%s: free node #%d has mm_ref=%d, expected %d"
-                 who h r want)
-        end)
-      s;
+    let expect want h =
+      let r = Arena.read_mm_ref arena (Value.of_handle h) in
+      if r <> want then
+        failwith
+          (Printf.sprintf "%s: free node #%d has mm_ref=%d, expected %d" who h
+             r want)
+    in
+    Array.iteri (fun h free -> if free then expect 1 h) c.free;
+    List.iter (fun (_, h) -> expect pending_ref h) c.pending;
     s
 
   (* Every node outside [free_set] carries an even, non-negative

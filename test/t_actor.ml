@@ -287,7 +287,8 @@ let stale_tests =
    the actor now in that slot, where the drainer would see it. *)
 let native_race_tests =
   [
-    tc_domains "wfrc native: send/retire/spawn race conserves messages" (fun () ->
+    tc_domains "wfrc native: send/retire/spawn race conserves messages"
+      (fun () ->
         let threads = 2 and actors = 16 and max_actors = 256 in
         let buckets = 16 and sends = 20_000 and id_bits = 20 in
         let cfg =

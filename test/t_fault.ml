@@ -552,7 +552,8 @@ let recovery_tests =
         check_bool "grid produced audited runs" true (!audited > 0);
         check_bool "some crashes left entries parked in the rc buffer" true
           (!buffered_at_crash > 0));
-    tc_domains "native chaos: wfrc_deferred crash mid-flush on Domains, then adoption"
+    tc_domains
+      "native chaos: wfrc_deferred crash mid-flush on Domains, then adoption"
       (fun () ->
         (* The Chaos countdown fires at lifecycle-event boundaries, and
            a draining flush emits its Free events back-to-back — so a
@@ -562,9 +563,15 @@ let recovery_tests =
            decrements as shared-count over-approximation anomalies
            (excess even counts), not as buffer entries: the recovery
            fixpoint must release them on the dead thread's behalf
-           (stats.released), with a clean audit and zero leaks. *)
+           (stats.released), with a clean audit and zero leaks.
+           Whether a countdown lands inside a flush depends on how the
+           two domains interleave, so the sweep runs three countdowns
+           and then more, up to eight, until one has stranded. *)
         let any_stranded = ref false in
-        for s = 0 to 2 do
+        let next = ref 0 in
+        while !next < 3 || ((not !any_stranded) && !next < 8) do
+          let s = !next in
+          incr next;
           let cfg =
             Mm.config ~backend:Atomics.Backend.Native ~defer:4 ~shards:2
               ~batch:2 ~threads:2 ~capacity:32 ~num_links:1 ~num_data:1
@@ -600,7 +607,8 @@ let recovery_tests =
         check_bool
           "some countdown stranded mid-flush decrements for the fixpoint"
           true !any_stranded);
-    tc_domains "native chaos: a stalled thread sleeps through its window and resumes"
+    tc_domains
+      "native chaos: a stalled thread sleeps through its window and resumes"
       (fun () ->
         let cfg =
           Mm.config ~backend:Atomics.Backend.Native ~threads:2 ~capacity:16

@@ -112,7 +112,8 @@ let conc_tests ?backend scheme =
         ignore (Oset.clear s ~tid:0);
         flush mm;
         assert_all_free ~reserved:2 mm);
-    tc_domains (pre "contended single key: exactly one winner per round") (fun () ->
+    tc_domains (pre "contended single key: exactly one winner per round")
+      (fun () ->
         let threads = 4 in
         let mm, s = mk scheme ~threads ~capacity:64 () in
         let wins = Array.make threads 0 in

@@ -108,10 +108,12 @@ let test_pool_contracts () =
       r.expectations
   in
   Alcotest.(check bool) "Pool.pop is expected-unbounded" true (expected "pop");
-  Alcotest.(check bool) "Pool.push is expected-unbounded" true (expected "push");
+  Alcotest.(check bool)
+    "Pool.push is expected-unbounded" true (expected "push");
   match
     List.find_opt
-      (fun (c : P.cls) -> basename_is "pool.ml" c.c_file && c.c_func = "claim.go")
+      (fun (c : P.cls) ->
+        basename_is "pool.ml" c.c_file && c.c_func = "claim.go")
       r.classifications
   with
   | None -> Alcotest.fail "pool.ml claim loop not classified"

@@ -638,17 +638,10 @@ let fix_ref t node fix =
    NOT flush (it is taken over crashed runs), so the auditor sees
    exactly what each thread still owes the shared counts. *)
 let custody t =
-  let cap = t.cfg.capacity in
   let free_iter ~violation ~f =
     for i = 0 to (2 * t.n) - 1 do
-      let rec walk p steps =
-        if steps > cap then violation (Printf.sprintf "cycle in freeList[%d]" i)
-        else if not (Value.is_null p) then begin
-          f p;
-          walk (Arena.read_mm_next t.arena p) (steps + 1)
-        end
-      in
-      walk (Hot.read t.hot (hw_free i)) 0
+      if not (Arena.iter_chain t.arena ~f (Hot.read t.hot (hw_free i))) then
+        violation (Printf.sprintf "cycle in freeList[%d]" i)
     done;
     match t.caches with
     | Some caches ->
@@ -667,7 +660,7 @@ let custody t =
         if Value.is_null p then None else Some (i, p))
       (List.init t.n Fun.id)
   in
-  Mm_intf.Custody.make ~capacity:cap free_iter ~pending:donations
+  Mm_intf.Custody.make ~capacity:t.cfg.capacity free_iter ~pending:donations
     ~pinned:(Ann.answers t.ann)
     ~deferred:(match t.defer with None -> [] | Some b -> Rcbuf.entries b)
 

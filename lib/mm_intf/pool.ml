@@ -188,12 +188,6 @@ let iter_free t ~violation ~f =
   match t.store with
   | Sharded fs -> Freestore.iter_free fs ~violation ~f
   | Treiber h | Locked h ->
-      let cap = Arena.capacity t.arena in
-      let rec walk p steps =
-        if steps > cap then violation "cycle in the free pool"
-        else if not (Value.is_null p) then begin
-          f p;
-          walk (Arena.read_mm_next t.arena p) (steps + 1)
-        end
-      in
-      walk (Value.stamped_ptr (Hot.read h 0)) 0
+      let head = Value.stamped_ptr (Hot.read h 0) in
+      if not (Arena.iter_chain t.arena ~f head) then
+        violation "cycle in the free pool"

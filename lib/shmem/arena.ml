@@ -315,6 +315,17 @@ let iter_nodes t f =
     f (Value.of_handle h)
   done
 
+let iter_chain t ~f head =
+  let rec walk p steps =
+    if steps > t.capacity then false
+    else if Value.is_null p then true
+    else begin
+      f p;
+      walk (read_mm_next t p) (steps + 1)
+    end
+  in
+  walk head 0
+
 let dump_node ppf t p =
   let h = Value.handle p in
   Fmt.pf ppf "node #%d: ref=%d next=%a" h (read_mm_ref t p) Value.pp_ptr

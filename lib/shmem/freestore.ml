@@ -347,15 +347,9 @@ let buffered t =
 
 let iter_free t ~violation ~f =
   for s = 0 to t.shards - 1 do
-    let rec walk p steps =
-      if steps > t.capacity then
-        violation (Printf.sprintf "cycle in stripe %d" s)
-      else if not (Value.is_null p) then begin
-        f p;
-        walk (Arena.read_mm_next t.arena p) (steps + 1)
-      end
-    in
-    walk (Value.stamped_ptr (Hot.read t.hot (hw_head s))) 0
+    let head = Value.stamped_ptr (Hot.read t.hot (hw_head s)) in
+    if not (Arena.iter_chain t.arena ~f head) then
+      violation (Printf.sprintf "cycle in stripe %d" s)
   done;
   for s = 0 to t.shards - 1 do
     for i = 0 to t.rbuf_size - 1 do

@@ -648,7 +648,7 @@ let custody t =
         Array.iter
           (fun c ->
             for i = 0 to c.clen - 1 do
-              f c.cslots.(i)
+              ignore (f c.cslots.(i))
             done)
           caches
     | None -> ()

@@ -234,8 +234,14 @@ module Custody = struct
     let free = Array.make (capacity + 1) false in
     iter_free ~violation:(violation "%s") ~f:(fun p ->
         let h = Value.handle p in
-        if free.(h) then violation "node #%d in the pool twice" h
-        else free.(h) <- true);
+        if free.(h) then begin
+          violation "node #%d in the pool twice" h;
+          false
+        end
+        else begin
+          free.(h) <- true;
+          true
+        end);
     let handles = List.map (fun (tid, p) -> (tid, Value.handle p)) in
     let pending = handles pending in
     let parked = Hashtbl.create 16 in

@@ -24,8 +24,9 @@
    ebr advances the epoch, lfrc and hp park on the store), and after
    [limit] such rounds a typed exhaustion signal — [Out_of_memory] on
    a single head; on the sharded store one adoption of declared-dead
-   peers' caches first, then [Out_of_nodes]. Wfrc keeps the paper's
-   2N lists (Figure 5) and does not use this module. *)
+   peers' caches and one more pass first, then [Out_of_nodes]. Wfrc
+   keeps the paper's 2N lists (Figure 5) and does not use this
+   module. *)
 
 module C = Atomics.Counters
 module Hot = Atomics.Hot
@@ -155,35 +156,41 @@ let park t ~tid =
   | Treiber _ | Locked _ -> ()
 
 let claim ?pin t ~tid ~limit ~between =
-  let rec go rounds ~waits ~adopted =
+  let rec go rounds =
     let node = pop ?pin t ~tid in
     if not (Value.is_null node) then node
     else if rounds < limit then begin
       between rounds;
       C.incr t.ctr ~tid Alloc_retry;
-      go (rounds + 1) ~waits:(waits + 1) ~adopted
+      go (rounds + 1)
     end
     else
       match t.store with
       | Treiber _ | Locked _ -> raise Out_of_memory
       | Sharded _ ->
-          if (not adopted) && adopt_dead t ~tid > 0 then
-            go 0 ~waits ~adopted:true
+          (* one more pass over whatever adoption returned, then give up *)
+          let adopted = adopt_dead t ~tid > 0 in
+          let node = if adopted then pop ?pin t ~tid else Value.null in
+          if not (Value.is_null node) then node
           else begin
             C.incr t.ctr ~tid Oom_backpressure;
             raise
               (Out_of_nodes
-                 { retries = (waits + if adopted then 2 else 1); waits })
+                 {
+                   retries = (limit + if adopted then 2 else 1);
+                   waits = limit;
+                 })
           end
   [@@wfrc.bounded
-    "round counter: rounds advances toward limit at every between-pass; \
-     the single reset is gated by the one-shot adopted flag, so at most \
-     2*limit+2 passes before Out_of_memory or typed Out_of_nodes"]
+    "round counter: rounds advances toward limit at every between-pass \
+     and is never reset, so at most limit+2 passes before Out_of_memory \
+     or typed Out_of_nodes"]
   in
-  go 0 ~waits:0 ~adopted:false
+  go 0
 
 (* Every node in the pool. Cycles go to [violation]; duplicates are the
-   caller's to detect. Quiescent only. *)
+   caller's to detect, and [f] returns [false] on one to end the chain
+   it is on. Quiescent only. *)
 let iter_free t ~violation ~f =
   match t.store with
   | Sharded fs -> Freestore.iter_free fs ~violation ~f

@@ -318,11 +318,7 @@ let iter_nodes t f =
 let iter_chain t ~f head =
   let rec walk p steps =
     if steps > t.capacity then false
-    else if Value.is_null p then true
-    else begin
-      f p;
-      walk (read_mm_next t p) (steps + 1)
-    end
+    else Value.is_null p || not (f p) || walk (read_mm_next t p) (steps + 1)
   in
   walk head 0
 

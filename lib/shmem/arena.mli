@@ -129,9 +129,11 @@ val iter_nodes : t -> (Value.ptr -> unit) -> unit
 (** Apply to every node pointer, in handle order. Not atomic; for
     quiescent checks only. *)
 
-val iter_chain : t -> f:(Value.ptr -> unit) -> Value.ptr -> bool
-(** Apply [f] along the [mm_next] chain from the given head to null.
-    Returns [false] when the walk passed [capacity] nodes: the chain
-    has a cycle. Not atomic; for quiescent checks only. *)
+val iter_chain : t -> f:(Value.ptr -> bool) -> Value.ptr -> bool
+(** Apply [f] along the [mm_next] chain from the given head to null,
+    stopping early where [f] returns [false] (the caller has seen that
+    node before, so the rest of the chain is a repeat). Returns
+    [false] when the walk passed [capacity] nodes: the chain has a
+    cycle. Not atomic; for quiescent checks only. *)
 
 val dump_node : Format.formatter -> t -> Value.ptr -> unit

@@ -354,12 +354,12 @@ let iter_free t ~violation ~f =
   for s = 0 to t.shards - 1 do
     for i = 0 to t.rbuf_size - 1 do
       let v = Hot.read t.hot (hw_rbuf t s i) in
-      if v <> 0 then f v
+      if v <> 0 then ignore (f v)
     done
   done;
   Array.iter
     (fun c ->
       for i = 0 to c.len - 1 do
-        f c.slots.(i)
+        ignore (f c.slots.(i))
       done)
     t.caches

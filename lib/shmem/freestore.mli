@@ -76,7 +76,9 @@ val cached : t -> tid:int -> int
 val buffered : t -> int
 (** Nodes currently parked in return-buffer slots. *)
 
-val iter_free : t -> violation:(string -> unit) -> f:(Value.ptr -> unit) -> unit
+val iter_free : t -> violation:(string -> unit) -> f:(Value.ptr -> bool) -> unit
 (** Apply [f] to every node in the store — stripe chains, return
-    buffers, caches. Cycles are reported through [violation];
-    duplicate detection is the caller's job. Quiescent only. *)
+    buffers, caches. Duplicate detection is the caller's job: [f]
+    returns [false] on a node it has seen before, which ends the walk
+    of that stripe chain. Cycles are reported through [violation].
+    Quiescent only. *)

@@ -43,10 +43,10 @@ let with_deadline ~seconds name f =
     f
 
 (* A test case whose body spawns domains, run under {!with_deadline}.
-   The default budget is far above any such test's normal running
-   time, sanitizer builds included. *)
-let tc_domains ?(seconds = 300.) name fn =
-  tc name (fun () -> with_deadline ~seconds name fn)
+   The 300 s budget is far above any such test's normal running time,
+   sanitizer builds included. *)
+let tc_domains name fn =
+  tc name (fun () -> with_deadline ~seconds:300. name fn)
 
 (* QCheck_alcotest tags everything `Slow; re-tag as `Quick so the
    property tests run in every `dune runtest`. *)

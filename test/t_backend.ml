@@ -284,7 +284,8 @@ let freestore_custody_tests =
             let h = Value.handle p in
             check_bool "no duplicate" false seen.(h);
             seen.(h) <- true;
-            incr count);
+            incr count;
+            true);
         check_int "every node accounted for" 32 !count;
         (* All of it is allocatable again by tid 0, whose full pass
            reaches its own cache, both stripe chains and both return

@@ -563,15 +563,9 @@ let recovery_tests =
            decrements as shared-count over-approximation anomalies
            (excess even counts), not as buffer entries: the recovery
            fixpoint must release them on the dead thread's behalf
-           (stats.released), with a clean audit and zero leaks.
-           Whether a countdown lands inside a flush depends on how the
-           two domains interleave, so the sweep runs three countdowns
-           and then more, up to eight, until one has stranded. *)
+           (stats.released), with a clean audit and zero leaks. *)
         let any_stranded = ref false in
-        let next = ref 0 in
-        while !next < 3 || ((not !any_stranded) && !next < 8) do
-          let s = !next in
-          incr next;
+        for s = 0 to 2 do
           let cfg =
             Mm.config ~backend:Atomics.Backend.Native ~defer:4 ~shards:2
               ~batch:2 ~threads:2 ~capacity:32 ~num_links:1 ~num_data:1
